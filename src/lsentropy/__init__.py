@@ -6,7 +6,6 @@ and detects the threshold q beyond which the ranking stops changing.
 """
 from .datasets import karate_edges_path, load_karate
 from .entropy import (
-    ENTROPY_PREFACTOR,
     PROB_SUM_TOLERANCE,
     Q_ONE_TOLERANCE,
     local_degree_distribution,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_GRID_SPEC",
-    "ENTROPY_PREFACTOR",
     "EdgeListParseError",
     "EgoNetwork",
     "EmptyGraphError",

@@ -21,7 +21,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .graph import EdgeListParseError, EmptyGraphError, Graph, load_edge_list
 from .ranking import (
@@ -43,44 +42,16 @@ _STATES_HEADER = ("state", "order")
 _STATE_ROW_NAMES = {"q0": "Order_q0", "q1": "Order_q1", "stable": "Order_stable"}
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, assembled from parsed arguments."""
-
-    command: str
-    input_path: str | None = None
-    input_path_b: str | None = None
-    q: float | None = None
-    grid_spec: str = "default"
-    output_format: str = "csv"
-    output_path: str | None = None
-    refine: bool = False
-    relaxed_tau: float | None = None
-    jobs: int = 1
-    state_a: str = "q0"
-    state_b: str = "q0"
-
-    def validate(self) -> None:
-        if self.command not in {"rank", "sweep", "threshold", "states", "compare"}:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.output_format not in {"csv", "json"}:
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.command == "rank":
-            if self.q is None or not math.isfinite(self.q) or self.q < 0.0:
-                raise ValueError("--q must be finite and >= 0")
-        if self.relaxed_tau is not None:
-            if not 0.0 < self.relaxed_tau <= MAX_RELAXED_TAU:
-                raise ValueError(
-                    f"--relaxed-tau must lie in (0, {MAX_RELAXED_TAU}]"
-                )
-        if self.jobs < 1:
-            raise ValueError("--jobs must be >= 1")
-        for state in (self.state_a, self.state_b):
-            if state not in _STATE_ROW_NAMES:
-                raise ValueError(f"unknown state {state!r}")
-
-    def resolved_grid_spec(self) -> str:
-        return DEFAULT_GRID_SPEC if self.grid_spec == "default" else self.grid_spec
+def _check_args(args: argparse.Namespace) -> None:
+    """The argument checks argparse cannot express, run before any file is read."""
+    q = getattr(args, "q", 0.0)
+    if not (math.isfinite(q) and q >= 0.0):
+        raise ValueError("--q must be finite and >= 0")
+    relaxed_tau = getattr(args, "relaxed_tau", None)
+    if relaxed_tau is not None and not 0.0 < relaxed_tau <= MAX_RELAXED_TAU:
+        raise ValueError(f"--relaxed-tau must lie in (0, {MAX_RELAXED_TAU}]")
+    if getattr(args, "jobs", 1) < 1:
+        raise ValueError("--jobs must be >= 1")
 
 
 def _load_graph(path: str) -> Graph:
@@ -117,26 +88,22 @@ def _q_text(q: float) -> str:
     return str(float(q))
 
 
-def _echo_base(cfg: RunConfig) -> dict:
-    return {
-        "command": cfg.command,
-        "input": cfg.input_path,
-        "format": cfg.output_format,
-    }
+def _echo_base(args: argparse.Namespace) -> dict:
+    return {"command": args.command, "input": args.input, "format": args.format}
 
 
-def cmd_rank(cfg: RunConfig) -> str:
-    graph = _load_graph(cfg.input_path)
-    table = score_all(graph, cfg.q)
+def cmd_rank(args: argparse.Namespace) -> str:
+    graph = _load_graph(args.input)
+    table = score_all(graph, args.q)
     ranking = rank(table)
     index = {label: i for i, label in enumerate(graph.labels)}
     rows = []
     for position, label in enumerate(ranking.ordered_labels, start=1):
         i = index[label]
         rows.append((label, graph.degrees[i], table.scores[i], position))
-    if cfg.output_format == "json":
-        echo = _echo_base(cfg)
-        echo["q"] = cfg.q
+    if args.format == "json":
+        echo = _echo_base(args)
+        echo["q"] = args.q
         return _json_text(
             {
                 "command": "rank",
@@ -153,18 +120,18 @@ def cmd_rank(cfg: RunConfig) -> str:
     )
 
 
-def cmd_sweep(cfg: RunConfig) -> str:
-    graph = _load_graph(cfg.input_path)
-    grid = parse_grid(cfg.resolved_grid_spec())
-    result = sweep(graph, grid, jobs=cfg.jobs)
+def cmd_sweep(args: argparse.Namespace) -> str:
+    graph = _load_graph(args.input)
+    grid = parse_grid(args.grid)
+    result = sweep(graph, grid, jobs=args.jobs)
     index = {label: i for i, label in enumerate(graph.labels)}
     rows = []
     for table, ranking in zip(result.score_tables, result.rankings):
         for position, label in enumerate(ranking.ordered_labels, start=1):
             rows.append((table.q, label, table.scores[index[label]], position))
-    if cfg.output_format == "json":
-        echo = _echo_base(cfg)
-        echo["grid"] = cfg.resolved_grid_spec()
+    if args.format == "json":
+        echo = _echo_base(args)
+        echo["grid"] = args.grid
         return _json_text(
             {
                 "command": "sweep",
@@ -181,24 +148,24 @@ def cmd_sweep(cfg: RunConfig) -> str:
     )
 
 
-def cmd_threshold(cfg: RunConfig) -> str:
-    graph = _load_graph(cfg.input_path)
-    grid = parse_grid(cfg.resolved_grid_spec())
-    result = sweep(graph, grid, jobs=cfg.jobs)
-    report = detect_threshold(result, relaxed_tau=cfg.relaxed_tau)
+def cmd_threshold(args: argparse.Namespace) -> str:
+    graph = _load_graph(args.input)
+    grid = parse_grid(args.grid)
+    result = sweep(graph, grid, jobs=args.jobs)
+    report = detect_threshold(result, relaxed_tau=args.relaxed_tau)
     refined = None
-    if cfg.refine:
+    if args.refine:
         refined = refine_threshold(
-            graph, result, report, relaxed_tau=cfg.relaxed_tau
+            graph, result, report, relaxed_tau=args.relaxed_tau
         )
     stable_top10 = None
     if report.stable_ranking is not None:
         stable_top10 = report.stable_ranking.top(10)
-    if cfg.output_format == "json":
-        echo = _echo_base(cfg)
-        echo["grid"] = cfg.resolved_grid_spec()
-        echo["refine"] = cfg.refine
-        echo["relaxed_tau"] = cfg.relaxed_tau
+    if args.format == "json":
+        echo = _echo_base(args)
+        echo["grid"] = args.grid
+        echo["refine"] = args.refine
+        echo["relaxed_tau"] = args.relaxed_tau
         payload = {
             "command": "threshold",
             "config": echo,
@@ -206,11 +173,11 @@ def cmd_threshold(cfg: RunConfig) -> str:
             "suffix_length": report.suffix_length,
             "stable_top10": list(stable_top10) if stable_top10 else None,
         }
-        if cfg.refine:
+        if args.refine:
             payload["refined_p_value"] = refined
         return _json_text(payload)
     rows = [("p_value", "null" if report.p_value is None else _q_text(report.p_value))]
-    if cfg.refine:
+    if args.refine:
         rows.append(
             ("refined_p_value", "null" if refined is None else _q_text(refined))
         )
@@ -221,17 +188,17 @@ def cmd_threshold(cfg: RunConfig) -> str:
     return _csv_text(("field", "value"), rows)
 
 
-def cmd_states(cfg: RunConfig) -> str:
-    graph = _load_graph(cfg.input_path)
-    grid = parse_grid(cfg.resolved_grid_spec())
+def cmd_states(args: argparse.Namespace) -> str:
+    graph = _load_graph(args.input)
+    grid = parse_grid(args.grid)
     states = three_states(
-        graph, grid, jobs=cfg.jobs, relaxed_tau=cfg.relaxed_tau
+        graph, grid, jobs=args.jobs, relaxed_tau=args.relaxed_tau
     )
     stable = states.order_stable
-    if cfg.output_format == "json":
-        echo = _echo_base(cfg)
-        echo["grid"] = cfg.resolved_grid_spec()
-        echo["relaxed_tau"] = cfg.relaxed_tau
+    if args.format == "json":
+        echo = _echo_base(args)
+        echo["grid"] = args.grid
+        echo["relaxed_tau"] = args.relaxed_tau
         return _json_text(
             {
                 "command": "states",
@@ -280,21 +247,21 @@ def _load_ranking_csv(path: str, state: str) -> Ranking:
     )
 
 
-def cmd_compare(cfg: RunConfig) -> str:
-    ranking_a = _load_ranking_csv(cfg.input_path, cfg.state_a)
-    ranking_b = _load_ranking_csv(cfg.input_path_b, cfg.state_b)
+def cmd_compare(args: argparse.Namespace) -> str:
+    ranking_a = _load_ranking_csv(args.input_a, args.state_a)
+    ranking_b = _load_ranking_csv(args.input_b, args.state_b)
     comparison = compare_rankings(ranking_a, ranking_b)
-    if cfg.output_format == "json":
+    if args.format == "json":
         return _json_text(
             {
                 "command": "compare",
                 "config": {
                     "command": "compare",
-                    "input_a": cfg.input_path,
-                    "input_b": cfg.input_path_b,
-                    "state_a": cfg.state_a,
-                    "state_b": cfg.state_b,
-                    "format": cfg.output_format,
+                    "input_a": args.input_a,
+                    "input_b": args.input_b,
+                    "state_a": args.state_a,
+                    "state_b": args.state_b,
+                    "format": args.format,
                 },
                 "kendall_tau": comparison.kendall_tau,
                 "top5_overlap": comparison.top_k_overlap[5],
@@ -359,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid_opts.add_argument(
         "--grid",
         metavar="SPEC",
-        default="default",
+        default=DEFAULT_GRID_SPEC,
         help=(
             "q grid: comma-separated values and/or start:stop:step ranges "
             f"(default: {DEFAULT_GRID_SPEC})"
@@ -448,23 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None) or getattr(args, "input_a", None),
-        input_path_b=getattr(args, "input_b", None),
-        q=getattr(args, "q", None),
-        grid_spec=getattr(args, "grid", "default"),
-        output_format=args.format,
-        output_path=args.output,
-        refine=getattr(args, "refine", False),
-        relaxed_tau=getattr(args, "relaxed_tau", None),
-        jobs=getattr(args, "jobs", 1),
-        state_a=getattr(args, "state_a", "q0"),
-        state_b=getattr(args, "state_b", "q0"),
-    )
-
-
 def _write_output(payload: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(payload)
@@ -475,11 +425,10 @@ def _write_output(payload: str, path: str | None) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        cfg.validate()
-        payload = _DISPATCH[cfg.command](cfg)
-        _write_output(payload, cfg.output_path)
+        _check_args(args)
+        payload = _DISPATCH[args.command](args)
+        _write_output(payload, args.output)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,10 +25,6 @@ Q_ONE_TOLERANCE = 1e-9
 # Absolute slack allowed on sum(p) == 1.
 PROB_SUM_TOLERANCE = 1e-12
 
-# Boltzmann's k of the thermodynamic definition. Information theory takes
-# it as unity; it is deliberately not configurable.
-ENTROPY_PREFACTOR = 1.0
-
 
 def q_log(x: float, q: float) -> float:
     """Deformed logarithm ln_q(x) = (x^(1-q) - 1) / (1 - q).
@@ -82,9 +78,9 @@ def tsallis_entropy(probs: Iterable[float], q: float) -> float:
     # fsum keeps the accumulation exactly rounded; long hub distributions
     # would otherwise drift.
     if abs(q - 1.0) <= Q_ONE_TOLERANCE:
-        return ENTROPY_PREFACTOR * -math.fsum(x * math.log(x) for x in p)
+        return -math.fsum(x * math.log(x) for x in p)
     power_sum = math.fsum(x**q for x in p)
-    return ENTROPY_PREFACTOR * (1.0 - power_sum) / (q - 1.0)
+    return (1.0 - power_sum) / (q - 1.0)
 
 
 def local_degree_distribution(graph: Graph, node: int) -> tuple[float, ...]:

@@ -4,8 +4,11 @@ import io
 import itertools
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -460,3 +463,17 @@ def test_console_script_entry_point(karate_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("label,degree,entropy,rank")
+
+
+def test_import_leaves_scipy_unloaded():
+    import lsentropy
+
+    src = str(Path(lsentropy.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lsentropy; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
