@@ -10,17 +10,19 @@ stderr, exit status 0 only on success.
 CSV output is UTF-8 with LF line endings and a header row; entropies
 are printed at 6 decimals. JSON output mirrors the CSV columns at full
 float precision and echoes the run configuration. The echo excludes
-the output path and worker count, which cannot affect the numbers:
+the output path and the ignored --jobs, which cannot affect the numbers:
 identical (input, parameters) must produce byte-identical output.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+from functools import partial
 import io
 import json
 import math
 import sys
+from typing import IO, Callable
 
 from .graph import EdgeListParseError, EmptyGraphError, Graph, load_edge_list
 from .ranking import (
@@ -68,11 +70,15 @@ def _load_graph(path: str) -> Graph:
     return graph
 
 
-def _csv_text(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def _write_csv(header, rows, handle: IO[str]) -> None:
+    writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
+
+
+def _csv_text(header, rows) -> str:
+    buffer = io.StringIO()
+    _write_csv(header, rows, buffer)
     return buffer.getvalue()
 
 
@@ -120,15 +126,17 @@ def cmd_rank(args: argparse.Namespace) -> str:
     )
 
 
-def cmd_sweep(args: argparse.Namespace) -> str:
+def cmd_sweep(args: argparse.Namespace) -> str | Callable[[IO[str]], None]:
     graph = _load_graph(args.input)
     grid = parse_grid(args.grid)
     result = sweep(graph, grid, jobs=args.jobs)
     index = {label: i for i, label in enumerate(graph.labels)}
-    rows = []
-    for table, ranking in zip(result.score_tables, result.rankings):
-        for position, label in enumerate(ranking.ordered_labels, start=1):
-            rows.append((table.q, label, table.scores[index[label]], position))
+
+    def rows():
+        for table, ranking in zip(result.score_tables, result.rankings):
+            for position, label in enumerate(ranking.ordered_labels, start=1):
+                yield table.q, label, table.scores[index[label]], position
+
     if args.format == "json":
         echo = _echo_base(args)
         echo["grid"] = args.grid
@@ -138,13 +146,16 @@ def cmd_sweep(args: argparse.Namespace) -> str:
                 "config": echo,
                 "rows": [
                     {"q": q, "label": lab, "entropy": ent, "rank": pos}
-                    for q, lab, ent, pos in rows
+                    for q, lab, ent, pos in rows()
                 ],
             }
         )
-    return _csv_text(
+    # One row per (node, q): written straight to the output, never held
+    # as one string.
+    return partial(
+        _write_csv,
         ("q", "label", "entropy", "rank"),
-        [(_q_text(q), lab, _entropy_text(ent), pos) for q, lab, ent, pos in rows],
+        ((_q_text(q), lab, _entropy_text(ent), pos) for q, lab, ent, pos in rows()),
     )
 
 
@@ -337,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         type=int,
         default=1,
-        help="worker processes for the sweep (default: 1)",
+        help="ignored, kept for compatibility; must be >= 1 (default: 1)",
     )
 
     p_rank = sub.add_parser(
@@ -415,12 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_output(payload: str, path: str | None) -> None:
+def _write_output(payload: str | Callable[[IO[str]], None], path: str | None) -> None:
+    """Write the output text, or call the function that writes it."""
+    write = payload if callable(payload) else lambda handle: handle.write(payload)
     if path is None:
-        sys.stdout.write(payload)
+        write(sys.stdout)
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(payload)
+            write(handle)
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,8 @@ which recovers Shannon as q -> 1 and degree centrality at q = 0
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from array import array
+from typing import Callable, Iterable, Sequence
 
 from .graph import Graph, ego_network
 
@@ -74,13 +75,16 @@ def tsallis_entropy(probs: Iterable[float], q: float) -> float:
             or q negative/non-finite.
     """
     q = _checked_entropic_index(q)
-    p = _checked_distribution(probs)
+    return _tsallis_at(q)(_checked_distribution(probs))
+
+
+def _tsallis_at(q: float) -> Callable[[Sequence[float]], float]:
+    """S_q as a function of an already checked distribution."""
     # fsum keeps the accumulation exactly rounded; long hub distributions
     # would otherwise drift.
     if abs(q - 1.0) <= Q_ONE_TOLERANCE:
-        return -math.fsum(x * math.log(x) for x in p)
-    power_sum = math.fsum(x**q for x in p)
-    return (1.0 - power_sum) / (q - 1.0)
+        return lambda p: -math.fsum([x * math.log(x) for x in p])
+    return lambda p: (1.0 - math.fsum([x**q for x in p])) / (q - 1.0)
 
 
 def local_degree_distribution(graph: Graph, node: int) -> tuple[float, ...]:
@@ -116,6 +120,35 @@ def local_structure_entropy(graph: Graph, node: int, q: float) -> float:
     if graph.degrees[node] == 0:
         return 0.0
     return tsallis_entropy(local_degree_distribution(graph, node), q)
+
+
+def local_structure_entropies(graph: Graph, q: float) -> tuple[float, ...]:
+    """``local_structure_entropy`` of every node, in node-id order.
+
+    The ego shares are built and checked once per graph, on the first
+    call, and every later q reuses them; the scores are bit-identical to
+    scoring node by node.
+    """
+    entropy = _tsallis_at(_checked_entropic_index(q))
+    flat, bounds = graph._ego_shares
+    return tuple(
+        entropy(flat[a:b]) if a < b else 0.0 for a, b in zip(bounds, bounds[1:])
+    )
+
+
+def ego_share_vector(graph: Graph) -> tuple[array, array]:
+    """All ego degree shares in one flat array, plus per-node bounds.
+
+    Node i's shares are ``flat[bounds[i]:bounds[i + 1]]``, checked once
+    here; an isolated node's slice is empty. Graph caches the result.
+    """
+    flat = array("d")
+    bounds = array("q", [0])
+    for node, degree in enumerate(graph.degrees):
+        if degree:
+            flat.extend(_checked_distribution(local_degree_distribution(graph, node)))
+        bounds.append(len(flat))
+    return flat, bounds
 
 
 def shannon_local_structure_entropy(graph: Graph, node: int) -> float:

@@ -9,7 +9,9 @@ count kept for diagnostics).
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Iterable
 
 
@@ -51,7 +53,9 @@ class Graph:
             raise ValueError("labels and adjacency lengths differ")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("node labels must be unique")
-        seen = set()
+        # reverse[j] lists the nodes that list j; scanning i in ascending
+        # order leaves it sorted, so symmetry is reverse[j] == adjacency[j].
+        reverse: list[list[int]] = [[] for _ in self.labels]
         for i, neighbours in enumerate(self.adjacency):
             if tuple(sorted(neighbours)) != neighbours:
                 raise ValueError(f"adjacency of node {i} is not sorted")
@@ -62,13 +66,23 @@ class Graph:
                     raise ValueError(f"neighbour id {j} out of range")
                 if j == i:
                     raise ValueError(f"self-loop at node {i}")
-                seen.add((i, j))
-        for i, j in seen:
-            if (j, i) not in seen:
+                reverse[j].append(i)
+        for j, incoming in enumerate(reverse):
+            if tuple(incoming) != self.adjacency[j]:
+                k = min(set(incoming).symmetric_difference(self.adjacency[j]))
+                i, j = (k, j) if k in incoming else (j, k)
                 raise ValueError(f"adjacency is not symmetric: {i}->{j}")
         object.__setattr__(
             self, "degrees", tuple(len(n) for n in self.adjacency)
         )
+
+    @cached_property
+    def _ego_shares(self) -> tuple[array, array]:
+        """``entropy.ego_share_vector(self)``, built on first use so that
+        loading a graph does not pay for it."""
+        from .entropy import ego_share_vector  # entropy imports this module
+
+        return ego_share_vector(self)
 
     @property
     def node_count(self) -> int:

@@ -8,15 +8,14 @@ stops changing: the nonextensive threshold of the network.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from functools import partial
+from functools import lru_cache
 import math
 
 import numpy as np
 
-from .entropy import local_structure_entropy
+from .entropy import local_structure_entropies
 from .graph import Graph
 
 # Sweep used throughout: dense at small q where rankings churn, sparser
@@ -103,17 +102,21 @@ class RankingComparison:
 
 def score_all(graph: Graph, q: float) -> ScoreTable:
     """Local structure entropy of every node at entropic index q."""
-    scores = tuple(
-        local_structure_entropy(graph, i, q) for i in range(graph.node_count)
-    )
+    scores = local_structure_entropies(graph, q)
     return ScoreTable(q=float(q), labels=graph.labels, scores=scores)
+
+
+@lru_cache(maxsize=1)
+def _label_order(labels: tuple[str, ...]) -> tuple[int, ...]:
+    """Indices of ``labels`` by label_sort_key, sorted once per labels tuple."""
+    return tuple(sorted(range(len(labels)), key=lambda i: label_sort_key(labels[i])))
 
 
 def rank(table: ScoreTable) -> Ranking:
     """Descending stable sort by score; ties ascend by original label."""
+    # The sort stays stable under reverse=True, so tied scores keep label order.
     order = sorted(
-        range(len(table.scores)),
-        key=lambda i: (-table.scores[i], label_sort_key(table.labels[i])),
+        _label_order(table.labels), key=table.scores.__getitem__, reverse=True
     )
     return Ranking(tuple(table.labels[i] for i in order))
 
@@ -133,16 +136,12 @@ def _checked_grid(grid: tuple[float, ...]) -> tuple[float, ...]:
 def sweep(graph: Graph, grid, jobs: int = 1) -> SweepResult:
     """Score and rank every node at each grid point.
 
-    Grid points are independent; with ``jobs > 1`` they are evaluated in
-    a process pool. Output order is fixed by the grid, so results are
-    identical for every parallelism degree.
+    ``jobs`` is accepted and ignored: every grid point reuses the ego
+    shares the graph builds once, which a worker process would have to
+    rebuild, so the sweep runs in this process.
     """
     grid = _checked_grid(tuple(float(q) for q in grid))
-    if jobs > 1 and len(grid) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(grid))) as pool:
-            tables = tuple(pool.map(partial(score_all, graph), grid))
-    else:
-        tables = tuple(score_all(graph, q) for q in grid)
+    tables = tuple(score_all(graph, q) for q in grid)
     rankings = tuple(rank(t) for t in tables)
     return SweepResult(grid=grid, score_tables=tables, rankings=rankings)
 
@@ -178,13 +177,14 @@ def detect_threshold(
             start -= 1
     else:
         floor = 1.0 - _checked_relaxed_tau(relaxed_tau)
+        numbering = _numbering(rankings[last])
+        ids = _ids(rankings[last], numbering)
+        positions = []  # of rankings[start:]
         while start > 0:
-            candidate = start - 1
-            if all(
-                _kendall_tau(rankings[candidate], rankings[i]) >= floor
-                for i in range(candidate + 1, last + 1)
-            ):
-                start = candidate
+            positions.append(_positions(ids))
+            ids = _ids(rankings[start - 1], numbering)
+            if all(_tau(position[ids]) >= floor for position in positions):
+                start -= 1
             else:
                 break
     suffix_length = len(rankings) - start
@@ -273,15 +273,37 @@ def _discordant_pairs(order: np.ndarray) -> int:
     return count
 
 
+def _numbering(ranking: Ranking) -> dict[str, int]:
+    return {label: i for i, label in enumerate(ranking.ordered_labels)}
+
+
+def _ids(ranking: Ranking, numbering: dict[str, int]) -> np.ndarray:
+    """The ranking's labels, most influential first, as ids under numbering."""
+    return np.fromiter(
+        map(numbering.__getitem__, ranking.ordered_labels), np.int64, len(numbering)
+    )
+
+
+def _positions(ids: np.ndarray) -> np.ndarray:
+    """Inverse permutation: the place of each label id in its ranking."""
+    position = np.empty_like(ids)
+    position[ids] = np.arange(len(ids))
+    return position
+
+
 def _kendall_tau(a: Ranking, b: Ranking) -> float:
+    # Numbered by b's order, a's ids are each label's place in b.
+    return _tau(_ids(a, _numbering(b)))
+
+
+def _tau(order: np.ndarray) -> float:
+    """Kendall tau of rankings a and b, given each of a's labels' place in b."""
     # Permutations carry no ties, so tau-b coincides with plain tau. Keep
     # tau-b's float expression: identical rankings give 0.9999999999999999
     # at some n, and compare output bytes depend on that float.
-    n = len(a.ordered_labels)
+    n = len(order)
     if n < 2:
         return 1.0
-    pos_b = {label: i for i, label in enumerate(b.ordered_labels)}
-    order = np.fromiter(map(pos_b.__getitem__, a.ordered_labels), np.int64, n)
     total = n * (n - 1) // 2
     tau = (total - 2 * _discordant_pairs(order)) / math.sqrt(total) / math.sqrt(total)
     return min(1.0, max(-1.0, tau))

@@ -378,6 +378,29 @@ def test_output_file_matches_stdout(capsys, triangle_path, tmp_path):
     )
     assert out_path.read_text(encoding="utf-8") == stdout_text
 
+    # sweep streams its CSV rows; labels that need quoting go through it.
+    quoted = tmp_path / "quoted.edges"
+    quoted.write_text('a,b say"hi"\nsay"hi" c\nc a,b\nc d\n', encoding="utf-8")
+    sweep_args = ["sweep", "--input", str(quoted), "--grid", "0,1,2.5"]
+    sweep_path = tmp_path / "sweep.csv"
+    assert main([*sweep_args, "--output", str(sweep_path)]) == 0
+    assert capsys.readouterr().out == ""
+    code, stdout_text, _ = _run(capsys, *sweep_args)
+    assert code == 0
+    assert sweep_path.read_text(encoding="utf-8") == stdout_text
+    assert '"a,b"' in stdout_text and '"say""hi"""' in stdout_text
+    rows = _rows(stdout_text)
+    assert {row[1] for row in rows[1:]} == {"a,b", 'say"hi"', "c", "d"}
+    assert len(rows) == 1 + 3 * 4
+
+    bad_path = tmp_path / "bad.csv"
+    code, _, err = _run(
+        capsys, "sweep", "--input", str(quoted), "--grid", "2,1",
+        "--output", str(bad_path),
+    )
+    assert code == 1 and "grid" in err
+    assert not bad_path.exists()
+
 
 def test_parse_error_reports_path_and_line(capsys, tmp_path):
     path = tmp_path / "broken.edges"

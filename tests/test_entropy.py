@@ -6,11 +6,14 @@ import pytest
 
 from lsentropy import (
     Graph,
+    default_grid,
     load_edge_list,
     local_degree_distribution,
     local_structure_entropy,
     q_log,
+    score_all,
     shannon_local_structure_entropy,
+    sweep,
     tsallis_entropy,
 )
 
@@ -158,3 +161,22 @@ def test_shannon_wrapper_matches_q1(karate):
         assert shannon_local_structure_entropy(karate, i) == (
             local_structure_entropy(karate, i, 1.0)
         )
+
+
+@pytest.mark.parametrize(
+    "q", [0.0, 0.5, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 2.2, 10.0, 100.0]
+)
+def test_score_all_equals_node_by_node_bitwise(karate, q):
+    with_isolated = Graph(
+        labels=("a", "b", "c", "z"), adjacency=((1, 2), (0,), (0,), ())
+    )
+    for g in (karate, with_isolated):
+        expected = tuple(local_structure_entropy(g, i, q) for i in range(g.node_count))
+        assert score_all(g, q).scores == expected
+
+
+def test_repeated_sweeps_on_one_graph_agree(karate):
+    g = Graph(labels=karate.labels, adjacency=karate.adjacency)
+    first = sweep(g, default_grid())
+    assert sweep(g, (0.5, 1.0)) == sweep(karate, (0.5, 1.0))
+    assert sweep(g, default_grid()) == first

@@ -82,8 +82,10 @@ def test_only_self_loops_rejected():
 
 
 def test_graph_rejects_asymmetric_adjacency():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"adjacency is not symmetric: 0->1"):
         Graph(labels=("a", "b"), adjacency=((1,), ()))
+    with pytest.raises(ValueError, match=r"adjacency is not symmetric: 2->0"):
+        Graph(labels=("a", "b", "c"), adjacency=((1,), (0,), (0,)))
 
 
 def test_graph_rejects_duplicate_labels():
