@@ -16,10 +16,8 @@ from .entropy import (
 )
 from .graph import (
     EdgeListParseError,
-    EgoNetwork,
     EmptyGraphError,
     Graph,
-    ego_network,
     load_edge_list,
     to_edge_list,
 )
@@ -49,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_GRID_SPEC",
     "EdgeListParseError",
-    "EgoNetwork",
     "EmptyGraphError",
     "Graph",
     "MAX_RELAXED_TAU",
@@ -64,7 +61,6 @@ __all__ = [
     "compare_rankings",
     "default_grid",
     "detect_threshold",
-    "ego_network",
     "karate_edges_path",
     "label_sort_key",
     "load_edge_list",

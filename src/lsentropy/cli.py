@@ -7,22 +7,27 @@ and ``compare`` measures agreement between two previously emitted
 ranking files. Data goes to stdout (or --output), diagnostics to
 stderr, exit status 0 only on success.
 
-CSV output is UTF-8 with LF line endings and a header row; entropies
-are printed at 6 decimals. JSON output mirrors the CSV columns at full
-float precision and echoes the run configuration. The echo excludes
-the output path and the ignored --jobs, which cannot affect the numbers:
-identical (input, parameters) must produce byte-identical output.
+Every subcommand returns one ``(fields, header, rows)`` result, and
+``_emit`` alone writes it. A table (``rank``, ``sweep``: ``fields`` is
+None) is four columns whose third is an entropy; CSV prints the entropy
+at 6 decimals, JSON gives one object per row at full float precision. A
+record (``threshold``, ``states``, ``compare``) carries its JSON
+``fields`` and its CSV ``header`` and ``rows`` side by side, because
+the two formats order, name and spell them differently. CSV output is
+UTF-8 with LF line endings and a header row. JSON output also echoes
+the arguments listed next to the subcommand in ``_DISPATCH``; the echo
+excludes the output path and the ignored --jobs, which cannot affect the
+numbers: identical (input, parameters) must produce byte-identical output.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-from functools import partial
 import io
 import json
 import math
 import sys
-from typing import IO, Callable
+from typing import IO, Iterable, Iterator
 
 from .graph import EdgeListParseError, EmptyGraphError, Graph, load_edge_list
 from .ranking import (
@@ -42,6 +47,10 @@ from .ranking import (
 _RANK_HEADER = ("label", "degree", "entropy", "rank")
 _STATES_HEADER = ("state", "order")
 _STATE_ROW_NAMES = {"q0": "Order_q0", "q1": "Order_q1", "stable": "Order_stable"}
+
+# What every subcommand returns: JSON fields (None for a table of rows),
+# then the CSV header and rows.
+Result = tuple[dict | None, tuple[str, ...], Iterable[tuple]]
 
 
 def _check_args(args: argparse.Namespace) -> None:
@@ -70,163 +79,78 @@ def _load_graph(path: str) -> Graph:
     return graph
 
 
-def _write_csv(header, rows, handle: IO[str]) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _csv_text(header, rows) -> str:
+def _label_line(labels: Iterable[str]) -> str:
+    """Labels as one CSV line, so that labels holding ',' or '"' read back
+    intact with ``next(csv.reader([line]))``."""
     buffer = io.StringIO()
-    _write_csv(header, rows, buffer)
+    csv.writer(buffer, lineterminator="").writerow(labels)
     return buffer.getvalue()
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+def _ranked(graph: Graph, tables, rankings) -> Iterator[tuple]:
+    """(q, label, degree, entropy, rank) of every node at each scored q,
+    in ranking order."""
+    index = {label: i for i, label in enumerate(graph.labels)}
+    degrees = graph.degrees
+    for table, ranking in zip(tables, rankings):
+        q, scores = table.q, table.scores
+        for position, label in enumerate(ranking.ordered_labels, start=1):
+            i = index[label]
+            yield q, label, degrees[i], scores[i], position
 
 
-def _entropy_text(value: float) -> str:
-    return f"{value:.6f}"
-
-
-def _q_text(q: float) -> str:
-    return str(float(q))
-
-
-def _echo_base(args: argparse.Namespace) -> dict:
-    return {"command": args.command, "input": args.input, "format": args.format}
-
-
-def cmd_rank(args: argparse.Namespace) -> str:
+def cmd_rank(args: argparse.Namespace) -> Result:
     graph = _load_graph(args.input)
     table = score_all(graph, args.q)
-    ranking = rank(table)
-    index = {label: i for i, label in enumerate(graph.labels)}
-    rows = []
-    for position, label in enumerate(ranking.ordered_labels, start=1):
-        i = index[label]
-        rows.append((label, graph.degrees[i], table.scores[i], position))
-    if args.format == "json":
-        echo = _echo_base(args)
-        echo["q"] = args.q
-        return _json_text(
-            {
-                "command": "rank",
-                "config": echo,
-                "rows": [
-                    {"label": lab, "degree": deg, "entropy": ent, "rank": pos}
-                    for lab, deg, ent, pos in rows
-                ],
-            }
-        )
-    return _csv_text(
-        _RANK_HEADER,
-        [(lab, deg, _entropy_text(ent), pos) for lab, deg, ent, pos in rows],
-    )
+    rows = [row[1:] for row in _ranked(graph, [table], [rank(table)])]
+    return None, _RANK_HEADER, rows
 
 
-def cmd_sweep(args: argparse.Namespace) -> str | Callable[[IO[str]], None]:
+def cmd_sweep(args: argparse.Namespace) -> Result:
     graph = _load_graph(args.input)
-    grid = parse_grid(args.grid)
-    result = sweep(graph, grid, jobs=args.jobs)
-    index = {label: i for i, label in enumerate(graph.labels)}
-
-    def rows():
-        for table, ranking in zip(result.score_tables, result.rankings):
-            for position, label in enumerate(ranking.ordered_labels, start=1):
-                yield table.q, label, table.scores[index[label]], position
-
-    if args.format == "json":
-        echo = _echo_base(args)
-        echo["grid"] = args.grid
-        return _json_text(
-            {
-                "command": "sweep",
-                "config": echo,
-                "rows": [
-                    {"q": q, "label": lab, "entropy": ent, "rank": pos}
-                    for q, lab, ent, pos in rows()
-                ],
-            }
+    result = sweep(graph, parse_grid(args.grid), jobs=args.jobs)
+    # A generator: one row per (node, q), streamed to the CSV output and
+    # never held as one string.
+    rows = (
+        (q, label, entropy, position)
+        for q, label, _, entropy, position in _ranked(
+            graph, result.score_tables, result.rankings
         )
-    # One row per (node, q): written straight to the output, never held
-    # as one string.
-    return partial(
-        _write_csv,
-        ("q", "label", "entropy", "rank"),
-        ((_q_text(q), lab, _entropy_text(ent), pos) for q, lab, ent, pos in rows()),
     )
+    return None, ("q", "label", "entropy", "rank"), rows
 
 
-def cmd_threshold(args: argparse.Namespace) -> str:
+def cmd_threshold(args: argparse.Namespace) -> Result:
     graph = _load_graph(args.input)
-    grid = parse_grid(args.grid)
-    result = sweep(graph, grid, jobs=args.jobs)
+    result = sweep(graph, parse_grid(args.grid), jobs=args.jobs)
     report = detect_threshold(result, relaxed_tau=args.relaxed_tau)
-    refined = None
+    top10 = report.stable_ranking.top(10) if report.stable_ranking else None
+    fields = {
+        "p_value": report.p_value,
+        "suffix_length": report.suffix_length,
+        "stable_top10": list(top10) if top10 else None,
+    }
+    rows = [("p_value", "null" if report.p_value is None else report.p_value)]
     if args.refine:
-        refined = refine_threshold(
-            graph, result, report, relaxed_tau=args.relaxed_tau
-        )
-    stable_top10 = None
-    if report.stable_ranking is not None:
-        stable_top10 = report.stable_ranking.top(10)
-    if args.format == "json":
-        echo = _echo_base(args)
-        echo["grid"] = args.grid
-        echo["refine"] = args.refine
-        echo["relaxed_tau"] = args.relaxed_tau
-        payload = {
-            "command": "threshold",
-            "config": echo,
-            "p_value": report.p_value,
-            "suffix_length": report.suffix_length,
-            "stable_top10": list(stable_top10) if stable_top10 else None,
-        }
-        if args.refine:
-            payload["refined_p_value"] = refined
-        return _json_text(payload)
-    rows = [("p_value", "null" if report.p_value is None else _q_text(report.p_value))]
-    if args.refine:
-        rows.append(
-            ("refined_p_value", "null" if refined is None else _q_text(refined))
-        )
-    rows.append(("suffix_length", str(report.suffix_length)))
-    rows.append(
-        ("stable_top10", ",".join(stable_top10) if stable_top10 else "null")
-    )
-    return _csv_text(("field", "value"), rows)
+        refined = refine_threshold(graph, result, report, relaxed_tau=args.relaxed_tau)
+        fields["refined_p_value"] = refined
+        rows.append(("refined_p_value", "null" if refined is None else refined))
+    rows.append(("suffix_length", report.suffix_length))
+    rows.append(("stable_top10", _label_line(top10) if top10 else "null"))
+    return fields, ("field", "value"), rows
 
 
-def cmd_states(args: argparse.Namespace) -> str:
+def cmd_states(args: argparse.Namespace) -> Result:
     graph = _load_graph(args.input)
-    grid = parse_grid(args.grid)
     states = three_states(
-        graph, grid, jobs=args.jobs, relaxed_tau=args.relaxed_tau
+        graph, parse_grid(args.grid), jobs=args.jobs, relaxed_tau=args.relaxed_tau
     )
-    stable = states.order_stable
-    if args.format == "json":
-        echo = _echo_base(args)
-        echo["grid"] = args.grid
-        echo["relaxed_tau"] = args.relaxed_tau
-        return _json_text(
-            {
-                "command": "states",
-                "config": echo,
-                "order_q0": list(states.order_q0.ordered_labels),
-                "order_q1": list(states.order_q1.ordered_labels),
-                "order_stable": list(stable.ordered_labels) if stable else None,
-            }
-        )
-    return _csv_text(
-        _STATES_HEADER,
-        [
-            ("Order_q0", ",".join(states.order_q0.ordered_labels)),
-            ("Order_q1", ",".join(states.order_q1.ordered_labels)),
-            ("Order_stable", ",".join(stable.ordered_labels) if stable else "none"),
-        ],
-    )
+    fields, rows = {}, []
+    for state, row_name in _STATE_ROW_NAMES.items():
+        order = getattr(states, f"order_{state}")
+        fields[f"order_{state}"] = list(order.ordered_labels) if order else None
+        rows.append((row_name, _label_line(order.ordered_labels) if order else "none"))
+    return fields, _STATES_HEADER, rows
 
 
 def _load_ranking_csv(path: str, state: str) -> Ranking:
@@ -250,7 +174,7 @@ def _load_ranking_csv(path: str, state: str) -> Ranking:
                     raise ValueError(
                         f"{path}: no stable ordering was detected in this file"
                     )
-                return Ranking(tuple(row[1].split(",")))
+                return Ranking(tuple(next(csv.reader([row[1]]))))
         raise ValueError(f"{path}: missing row {wanted!r}")
     raise ValueError(
         f"{path}: unrecognized header {','.join(header)!r}; "
@@ -258,46 +182,44 @@ def _load_ranking_csv(path: str, state: str) -> Ranking:
     )
 
 
-def cmd_compare(args: argparse.Namespace) -> str:
+def cmd_compare(args: argparse.Namespace) -> Result:
     ranking_a = _load_ranking_csv(args.input_a, args.state_a)
     ranking_b = _load_ranking_csv(args.input_b, args.state_b)
     comparison = compare_rankings(ranking_a, ranking_b)
-    if args.format == "json":
-        return _json_text(
-            {
-                "command": "compare",
-                "config": {
-                    "command": "compare",
-                    "input_a": args.input_a,
-                    "input_b": args.input_b,
-                    "state_a": args.state_a,
-                    "state_b": args.state_b,
-                    "format": args.format,
-                },
-                "kendall_tau": comparison.kendall_tau,
-                "top5_overlap": comparison.top_k_overlap[5],
-                "top10_overlap": comparison.top_k_overlap[10],
-            }
-        )
-    return _csv_text(
-        ("kendall_tau", "top5_overlap", "top10_overlap"),
-        [
-            (
-                str(comparison.kendall_tau),
-                str(comparison.top_k_overlap[5]),
-                str(comparison.top_k_overlap[10]),
-            )
-        ],
-    )
+    fields = {
+        "kendall_tau": comparison.kendall_tau,
+        "top5_overlap": comparison.top_k_overlap[5],
+        "top10_overlap": comparison.top_k_overlap[10],
+    }
+    return fields, tuple(fields), [tuple(fields.values())]
 
 
+# Each subcommand, with the arguments its JSON output echoes as "config".
 _DISPATCH = {
-    "rank": cmd_rank,
-    "sweep": cmd_sweep,
-    "threshold": cmd_threshold,
-    "states": cmd_states,
-    "compare": cmd_compare,
+    "rank": (cmd_rank, ("input", "format", "q")),
+    "sweep": (cmd_sweep, ("input", "format", "grid")),
+    "threshold": (cmd_threshold, ("input", "format", "grid", "refine", "relaxed_tau")),
+    "states": (cmd_states, ("input", "format", "grid", "relaxed_tau")),
+    "compare": (cmd_compare, ("input_a", "input_b", "state_a", "state_b", "format")),
 }
+
+
+def _emit(args: argparse.Namespace, fields, header, rows, handle: IO[str]) -> None:
+    """Write one subcommand's result to ``handle`` as CSV or JSON, by the
+    table and record rules in the module docstring."""
+    if args.format == "json":
+        if fields is None:
+            fields = {"rows": [dict(zip(header, row)) for row in rows]}
+        config = {"command": args.command}
+        config.update((name, getattr(args, name)) for name in _DISPATCH[args.command][1])
+        payload = {"command": args.command, "config": config, **fields}
+        handle.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+        return
+    if fields is None:
+        rows = ((a, b, f"{entropy:.6f}", d) for a, b, entropy, d in rows)
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,22 +348,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_output(payload: str | Callable[[IO[str]], None], path: str | None) -> None:
-    """Write the output text, or call the function that writes it."""
-    write = payload if callable(payload) else lambda handle: handle.write(payload)
-    if path is None:
-        write(sys.stdout)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            write(handle)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_args(args)
-        payload = _DISPATCH[args.command](args)
-        _write_output(payload, args.output)
+        result = _DISPATCH[args.command][0](args)
+        if args.output is None:
+            _emit(args, *result, sys.stdout)
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="") as handle:
+                _emit(args, *result, handle)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

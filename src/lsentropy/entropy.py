@@ -17,7 +17,7 @@ import math
 from array import array
 from typing import Callable, Iterable, Sequence
 
-from .graph import Graph, ego_network
+from .graph import Graph
 
 # |q - 1| at or below this uses the Shannon branch; the generic formula
 # suffers catastrophic cancellation as q -> 1.
@@ -90,21 +90,25 @@ def _tsallis_at(q: float) -> Callable[[Sequence[float]], float]:
 def local_degree_distribution(graph: Graph, node: int) -> tuple[float, ...]:
     """Degree shares over the ego network of ``node``.
 
-    Entry order follows EgoNetwork.members (sorted by node id); each
-    share is the member's full-graph degree over the ego total, evaluated
-    as a single float division of exact integers.
+    The ego network is the node plus its neighbours. Entries follow
+    member node id; each share is the member's full-graph degree over the
+    ego total, evaluated as a single float division of exact integers.
 
     Raises:
-        ValueError: ``node`` is isolated (degree 0) or out of range.
+        ValueError: ``node`` is out of range or isolated (degree 0).
     """
-    ego = ego_network(graph, node)
+    if not 0 <= node < graph.node_count:
+        raise ValueError(
+            f"node id {node} out of range [0, {graph.node_count})"
+        )
     if graph.degrees[node] == 0:
         raise ValueError(
             f"node {graph.labels[node]!r} is isolated and has no "
             "degree distribution"
         )
-    total = sum(ego.member_degrees)
-    return tuple(d / total for d in ego.member_degrees)
+    degrees = [graph.degrees[m] for m in sorted((node, *graph.adjacency[node]))]
+    total = sum(degrees)
+    return tuple(d / total for d in degrees)
 
 
 def local_structure_entropy(graph: Graph, node: int, q: float) -> float:
@@ -125,9 +129,9 @@ def local_structure_entropy(graph: Graph, node: int, q: float) -> float:
 def local_structure_entropies(graph: Graph, q: float) -> tuple[float, ...]:
     """``local_structure_entropy`` of every node, in node-id order.
 
-    The ego shares are built and checked once per graph, on the first
-    call, and every later q reuses them; the scores are bit-identical to
-    scoring node by node.
+    The ego shares are built once per graph, on the first call, and
+    every later q reuses them; the scores are bit-identical to scoring
+    node by node.
     """
     entropy = _tsallis_at(_checked_entropic_index(q))
     flat, bounds = graph._ego_shares
@@ -139,14 +143,17 @@ def local_structure_entropies(graph: Graph, q: float) -> tuple[float, ...]:
 def ego_share_vector(graph: Graph) -> tuple[array, array]:
     """All ego degree shares in one flat array, plus per-node bounds.
 
-    Node i's shares are ``flat[bounds[i]:bounds[i + 1]]``, checked once
-    here; an isolated node's slice is empty. Graph caches the result.
+    Node i's shares are ``flat[bounds[i]:bounds[i + 1]]``; an isolated
+    node's slice is empty. Graph caches the result. The shares need no
+    ``_checked_distribution``: each d / total has 1 <= d <= total, so it
+    lies in (0, 1], and the exact sum of the correctly rounded quotients
+    lies within 2**-53 of 1, far inside PROB_SUM_TOLERANCE.
     """
     flat = array("d")
     bounds = array("q", [0])
     for node, degree in enumerate(graph.degrees):
         if degree:
-            flat.extend(_checked_distribution(local_degree_distribution(graph, node)))
+            flat.extend(local_degree_distribution(graph, node))
         bounds.append(len(flat))
     return flat, bounds
 

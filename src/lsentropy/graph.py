@@ -1,4 +1,4 @@
-"""Immutable undirected simple graphs and per-node ego networks.
+"""Immutable undirected simple graphs.
 
 Graphs are loaded from plain-text edge lists (two whitespace-separated
 labels per line, ``#`` comments). Labels are interned to dense 0-based
@@ -195,30 +195,3 @@ def to_edge_list(graph: Graph) -> str:
                 lines.append(f"{graph.labels[u]} {graph.labels[v]}")
     return "\n".join(lines) + "\n"
 
-
-@dataclass(frozen=True)
-class EgoNetwork:
-    """A centre node together with all of its direct neighbours.
-
-    ``member_degrees`` are degrees in the full parent graph, not inside
-    the induced subgraph; ``members`` is sorted by node id and always
-    contains the centre, so ``len(members) == degree(centre) + 1``.
-    """
-
-    center: int
-    members: tuple[int, ...]
-    member_degrees: tuple[int, ...]
-
-
-def ego_network(graph: Graph, node: int) -> EgoNetwork:
-    """Extract the ego network of ``node``: itself plus its neighbours."""
-    if not 0 <= node < graph.node_count:
-        raise ValueError(
-            f"node id {node} out of range [0, {graph.node_count})"
-        )
-    members = tuple(sorted((node, *graph.adjacency[node])))
-    return EgoNetwork(
-        center=node,
-        members=members,
-        member_degrees=tuple(graph.degrees[m] for m in members),
-    )

@@ -324,6 +324,41 @@ def test_compare_states_q0_vs_q1(capsys, karate_path, karate, tmp_path):
     assert got == pytest.approx(oracle, abs=1e-12)
 
 
+def test_label_lists_round_trip_commas_and_quotes(capsys, tmp_path):
+    edges = tmp_path / "commas.edges"
+    edges.write_text('a,b x\nx y\ny a,b\ny z\nz w\nw say"hi"\n', encoding="utf-8")
+    graph_labels = {"a,b", "x", "y", "z", "w", 'say"hi"'}
+    rank_path, states_path = tmp_path / "r.csv", tmp_path / "s.csv"
+    assert main(["rank", "--input", str(edges), "--q", "1", "--output", str(rank_path)]) == 0
+    assert main(["states", "--input", str(edges), "--output", str(states_path)]) == 0
+    capsys.readouterr()
+
+    states = {row[0]: next(csv.reader([row[1]])) for row in _rows(states_path.read_text())[1:]}
+    assert set(states["Order_q0"]) == set(states["Order_q1"]) == graph_labels
+    code, out, _ = _run(capsys, "threshold", "--input", str(edges))
+    assert code == 0
+    fields = dict(_rows(out)[1:])
+    assert next(csv.reader([fields["stable_top10"]])) == states["Order_stable"]
+
+    code, out, err = _run(
+        capsys, "compare", str(states_path), str(states_path),
+        "--state-a", "q0", "--state-b", "q1", "--format", "json",
+    )
+    assert code == 0, err
+    a, b = states["Order_q0"], states["Order_q1"]
+    discordant = sum(
+        (a.index(x) - a.index(y)) * (b.index(x) - b.index(y)) < 0
+        for x, y in itertools.combinations(a, 2)
+    )
+    pairs = len(a) * (len(a) - 1) // 2
+    assert json.loads(out)["kendall_tau"] == pytest.approx(1 - 2 * discordant / pairs)
+
+    code, out, err = _run(capsys, "compare", str(rank_path), str(states_path), "--state-b", "q1")
+    assert code == 0 and err == ""
+    # identical rankings of 6 labels: tau-b's float reads 0.9999999999999999
+    assert [float(x) for x in _rows(out)[1]] == pytest.approx([1.0, 1.0, 1.0])
+
+
 def test_compare_label_mismatch_lists_difference(capsys, tmp_path):
     header = "label,degree,entropy,rank\n"
     a = tmp_path / "a.csv"
@@ -364,6 +399,69 @@ def test_compare_json_payload(capsys, karate_path, tmp_path):
     assert payload["top5_overlap"] == 1.0
     assert payload["top10_overlap"] == 1.0
     assert payload["config"]["state_a"] == "q0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "--q", "1.5"],
+        ["sweep", "--grid", "0,0.5,1,2.2"],
+        ["threshold", "--refine", "--relaxed-tau", "0.05"],
+        ["threshold", "--refine", "--grid", "0,5,10"],
+        ["states"],
+        ["states", "--grid", "0,1,10"],
+        ["compare"],
+    ],
+    ids=lambda argv: "_".join(argv),
+)
+def test_csv_and_json_carry_the_same_content(capsys, karate_path, tmp_path, argv):
+    if argv == ["compare"]:
+        rank_path, states_path = tmp_path / "rank.csv", tmp_path / "states.csv"
+        assert main(["rank", "--input", karate_path, "--q", "1", "--output", str(rank_path)]) == 0
+        assert main(["states", "--input", karate_path, "--output", str(states_path)]) == 0
+        argv = ["compare", str(rank_path), str(states_path), "--state-b", "stable"]
+    else:
+        argv = [*argv, "--input", karate_path]
+    code, csv_out, err = _run(capsys, *argv)
+    assert code == 0, err
+    code, json_out, err = _run(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    header, *body = _rows(csv_out)
+    payload = json.loads(json_out)
+    assert payload["command"] == payload["config"]["command"] == argv[0]
+    fields = {k: v for k, v in payload.items() if k not in ("command", "config")}
+
+    if argv[0] in ("rank", "sweep"):
+        assert len(body) == len(fields["rows"])
+        for row, record in zip(body, fields["rows"]):
+            assert list(record) == header
+            expected = [str(value) for value in record.values()]
+            expected[header.index("entropy")] = f"{record['entropy']:.6f}"
+            assert row == expected
+    elif argv[0] == "threshold":
+        assert header == ["field", "value"]
+        cells = dict(body)
+        assert set(cells) == set(fields)
+        for name, cell in cells.items():
+            value = fields[name]
+            if value is None:
+                assert cell == "null"
+            elif name == "stable_top10":
+                assert next(csv.reader([cell])) == value
+            else:
+                assert cell == str(value)
+    elif argv[0] == "states":
+        assert header == ["state", "order"]
+        assert [row[0] for row in body] == ["Order_q0", "Order_q1", "Order_stable"]
+        for (name, cell), (key, value) in zip(body, fields.items()):
+            assert key == name.lower()
+            if value is None:
+                assert cell == "none"
+            else:
+                assert next(csv.reader([cell])) == value
+    else:
+        assert header == list(fields)
+        assert body == [[str(value) for value in fields.values()]]
 
 
 def test_output_file_matches_stdout(capsys, triangle_path, tmp_path):

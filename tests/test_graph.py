@@ -1,4 +1,4 @@
-"""Edge-list parsing, graph construction, and ego-network extraction."""
+"""Edge-list parsing, graph construction, and ego-network shares."""
 import io
 import random
 
@@ -8,8 +8,8 @@ from lsentropy import (
     EdgeListParseError,
     EmptyGraphError,
     Graph,
-    ego_network,
     load_edge_list,
+    local_degree_distribution,
     to_edge_list,
 )
 
@@ -124,27 +124,25 @@ def test_serialization_rejects_isolated_node():
 
 
 def test_ego_network_members_and_degrees():
-    # path a-b-c: ego of b is the whole path, degrees taken graph-wide
+    # path a-b-c (degrees 1, 2, 1): the ego of b is the whole path; shares
+    # follow member id, the centre among them, with degrees taken graph-wide
     g = load_edge_list("a b\nb c\n")
-    ego = ego_network(g, 1)
-    assert ego.center == 1
-    assert ego.members == (0, 1, 2)
-    assert ego.member_degrees == (1, 2, 1)
-    leaf = ego_network(g, 0)
-    assert leaf.members == (0, 1)
-    assert leaf.member_degrees == (1, 2)
+    assert local_degree_distribution(g, 1) == (1 / 4, 2 / 4, 1 / 4)
+    assert local_degree_distribution(g, 0) == (1 / 3, 2 / 3)
+    assert local_degree_distribution(g, 2) == (2 / 3, 1 / 3)
 
 
 def test_ego_network_size_is_degree_plus_one(karate):
     for i in range(karate.node_count):
-        ego = ego_network(karate, i)
-        assert len(ego.members) == karate.degrees[i] + 1
-        assert i in ego.members
+        members = sorted((i, *karate.adjacency[i]))
+        total = sum(karate.degrees[m] for m in members)
+        shares = local_degree_distribution(karate, i)
+        assert len(shares) == karate.degrees[i] + 1
+        assert shares[members.index(i)] == karate.degrees[i] / total
 
 
 def test_ego_network_rejects_bad_node():
     g = load_edge_list("a b\n")
-    with pytest.raises(ValueError):
-        ego_network(g, 2)
-    with pytest.raises(ValueError):
-        ego_network(g, -1)
+    for node in (-1, g.node_count):
+        with pytest.raises(ValueError, match="out of range"):
+            local_degree_distribution(g, node)
