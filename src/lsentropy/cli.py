@@ -9,11 +9,15 @@ stderr, exit status 0 only on success.
 
 Every subcommand returns one ``(fields, header, rows)`` result, and
 ``_emit`` alone writes it. A table (``rank``, ``sweep``: ``fields`` is
-None) is four columns whose third is an entropy; CSV prints the entropy
-at 6 decimals, JSON gives one object per row at full float precision. A
-record (``threshold``, ``states``, ``compare``) carries its JSON
-``fields`` and its CSV ``header`` and ``rows`` side by side, because
-the two formats order, name and spell them differently. CSV output is
+None) passes ``(graph, score tables, rankings)`` as its rows; it is four
+columns whose third is an entropy and whose fourth is the rank, one
+block of rows per scored q in ranking order. CSV writes each block with
+one write of hand-joined lines, the labels quoted once per command by
+``csv.writer`` itself, q as its repr and the entropy at 6 decimals; JSON
+gives one object per row at full float precision. A record
+(``threshold``, ``states``, ``compare``) carries its JSON ``fields``
+and its CSV ``header`` and ``rows`` side by side, because the two
+formats order, name and spell them differently. CSV output is
 UTF-8 with LF line endings and a header row. JSON output also echoes
 the arguments listed next to the subcommand in ``_DISPATCH``; the echo
 excludes the output path and the ignored --jobs, which cannot affect the
@@ -23,10 +27,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
+from itertools import repeat
 from typing import IO, Iterable, Iterator
 
 from .graph import EdgeListParseError, EmptyGraphError, Graph, load_edge_list
@@ -48,8 +52,8 @@ _RANK_HEADER = ("label", "degree", "entropy", "rank")
 _STATES_HEADER = ("state", "order")
 _STATE_ROW_NAMES = {"q0": "Order_q0", "q1": "Order_q1", "stable": "Order_stable"}
 
-# What every subcommand returns: JSON fields (None for a table of rows),
-# then the CSV header and rows.
+# What every subcommand returns: JSON fields (None for a table), then the
+# CSV header and rows (for a table, graph, score tables and rankings).
 Result = tuple[dict | None, tuple[str, ...], Iterable[tuple]]
 
 
@@ -79,44 +83,55 @@ def _load_graph(path: str) -> Graph:
     return graph
 
 
+class _Echo:
+    """A file whose ``write`` returns the text, so that a ``csv.writer``
+    on it returns each line it formats."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+def _csv_lines(rows: Iterable[Iterable]) -> list[str]:
+    """Each row as one CSV line without a line terminator."""
+    return list(map(csv.writer(_Echo(), lineterminator="").writerow, rows))
+
+
 def _label_line(labels: Iterable[str]) -> str:
     """Labels as one CSV line, so that labels holding ',' or '"' read back
     intact with ``next(csv.reader([line]))``."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="").writerow(labels)
-    return buffer.getvalue()
+    return _csv_lines([labels])[0]
 
 
-def _ranked(graph: Graph, tables, rankings) -> Iterator[tuple]:
-    """(q, label, degree, entropy, rank) of every node at each scored q,
-    in ranking order."""
+def _table_blocks(
+    header, labels, q_cell, graph: Graph, tables, rankings
+) -> Iterator[tuple[Iterator, Iterator, Iterator]]:
+    """Each scored q's rows in ranking order, as iterators over the first
+    two columns that ``header`` names and over the entropies; a row's
+    rank is its position. ``labels`` (by node id) and ``q_cell`` give
+    the label and q cells."""
     index = {label: i for i, label in enumerate(graph.labels)}
-    degrees = graph.degrees
     for table, ranking in zip(tables, rankings):
-        q, scores = table.q, table.scores
-        for position, label in enumerate(ranking.ordered_labels, start=1):
-            i = index[label]
-            yield q, label, degrees[i], scores[i], position
+        order = list(map(index.__getitem__, ranking.ordered_labels))
+        columns = {
+            "q": repeat(q_cell(table.q)),
+            "label": map(labels.__getitem__, order),
+            "degree": map(graph.degrees.__getitem__, order),
+        }
+        entropies = map(table.scores.__getitem__, order)
+        yield columns[header[0]], columns[header[1]], entropies
 
 
 def cmd_rank(args: argparse.Namespace) -> Result:
     graph = _load_graph(args.input)
     table = score_all(graph, args.q)
-    rows = [row[1:] for row in _ranked(graph, [table], [rank(table)])]
-    return None, _RANK_HEADER, rows
+    return None, _RANK_HEADER, (graph, [table], [rank(table)])
 
 
 def cmd_sweep(args: argparse.Namespace) -> Result:
     graph = _load_graph(args.input)
     result = sweep(graph, parse_grid(args.grid), jobs=args.jobs)
-    # A generator: one row per (node, q), streamed to the CSV output and
-    # never held as one string.
-    rows = (
-        (q, label, entropy, position)
-        for q, label, _, entropy, position in _ranked(
-            graph, result.score_tables, result.rankings
-        )
-    )
+    rows = (graph, result.score_tables, result.rankings)
     return None, ("q", "label", "entropy", "rank"), rows
 
 
@@ -209,14 +224,29 @@ def _emit(args: argparse.Namespace, fields, header, rows, handle: IO[str]) -> No
     table and record rules in the module docstring."""
     if args.format == "json":
         if fields is None:
-            fields = {"rows": [dict(zip(header, row)) for row in rows]}
+            blocks = _table_blocks(header, rows[0].labels, float, *rows)
+            fields = {"rows": [
+                dict(zip(header, (*cells, position)))
+                for block in blocks
+                for position, cells in enumerate(zip(*block), start=1)
+            ]}
         config = {"command": args.command}
         config.update((name, getattr(args, name)) for name in _DISPATCH[args.command][1])
         payload = {"command": args.command, "config": config, **fields}
         handle.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
         return
     if fields is None:
-        rows = ((a, b, f"{entropy:.6f}", d) for a, b, entropy, d in rows)
+        # One write per scored q. csv.writer quotes each label once, and
+        # q is formatted once per block as repr, which csv.writer writes
+        # for a float.
+        labels = _csv_lines(zip(rows[0].labels))
+        handle.write(",".join(header) + "\n")
+        for block in _table_blocks(header, labels, repr, *rows):
+            handle.write("".join([
+                f"{a},{b},{entropy:.6f},{position}\n"
+                for position, (a, b, entropy) in enumerate(zip(*block), start=1)
+            ]))
+        return
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)

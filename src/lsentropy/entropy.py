@@ -14,8 +14,11 @@ which recovers Shannon as q -> 1 and degree centrality at q = 0
 from __future__ import annotations
 
 import math
+import operator
 from array import array
-from typing import Callable, Iterable, Sequence
+from collections import defaultdict
+from itertools import count, islice
+from typing import Callable, Iterable
 
 from .graph import Graph
 
@@ -74,17 +77,19 @@ def tsallis_entropy(probs: Iterable[float], q: float) -> float:
         ValueError: entries outside (0, 1], sum off 1 beyond tolerance,
             or q negative/non-finite.
     """
-    q = _checked_entropic_index(q)
-    return _tsallis_at(q)(_checked_distribution(probs))
+    term, entropy = _tsallis_at(_checked_entropic_index(q))
+    return entropy(math.fsum(map(term, _checked_distribution(probs))))
 
 
-def _tsallis_at(q: float) -> Callable[[Sequence[float]], float]:
-    """S_q as a function of an already checked distribution."""
-    # fsum keeps the accumulation exactly rounded; long hub distributions
-    # would otherwise drift.
+def _tsallis_at(q: float) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """S_q as ``(term, entropy)``: S_q(p) is ``entropy(fsum(map(term, p)))``
+    for an already checked distribution p."""
+    # fsum keeps the accumulation exactly rounded, so the sum does not
+    # depend on the order of the terms; long hub distributions would
+    # otherwise drift.
     if abs(q - 1.0) <= Q_ONE_TOLERANCE:
-        return lambda p: -math.fsum([x * math.log(x) for x in p])
-    return lambda p: (1.0 - math.fsum([x**q for x in p])) / (q - 1.0)
+        return (lambda x: x * math.log(x)), operator.neg
+    return (lambda x: x**q), (lambda s: (1.0 - s) / (q - 1.0))
 
 
 def local_degree_distribution(graph: Graph, node: int) -> tuple[float, ...]:
@@ -129,33 +134,47 @@ def local_structure_entropy(graph: Graph, node: int, q: float) -> float:
 def local_structure_entropies(graph: Graph, q: float) -> tuple[float, ...]:
     """``local_structure_entropy`` of every node, in node-id order.
 
-    The ego shares are built once per graph, on the first call, and
-    every later q reuses them; the scores are bit-identical to scoring
-    node by node.
+    The ego shares are built once per graph, on the first call. Each q
+    then evaluates its term once per distinct share and sums, per node,
+    the terms of the node's shares: every term is the same libm value as
+    scoring node by node, and fsum is correctly rounded, so the scores
+    are bit-identical to it.
     """
-    entropy = _tsallis_at(_checked_entropic_index(q))
-    flat, bounds = graph._ego_shares
-    return tuple(
-        entropy(flat[a:b]) if a < b else 0.0 for a, b in zip(bounds, bounds[1:])
-    )
+    term, entropy = _tsallis_at(_checked_entropic_index(q))
+    values, index, bounds = graph._ego_shares
+    table = list(map(term, values))
+    terms = map(table.__getitem__, index)
+    return tuple([
+        entropy(math.fsum(islice(terms, b - a))) if a < b else 0.0
+        for a, b in zip(bounds, bounds[1:])
+    ])
 
 
-def ego_share_vector(graph: Graph) -> tuple[array, array]:
-    """All ego degree shares in one flat array, plus per-node bounds.
+def ego_share_vector(graph: Graph) -> tuple[array, array, array]:
+    """Every ego degree share, interned by its float value.
 
-    Node i's shares are ``flat[bounds[i]:bounds[i + 1]]``; an isolated
-    node's slice is empty. Graph caches the result. The shares need no
-    ``_checked_distribution``: each d / total has 1 <= d <= total, so it
-    lies in (0, 1], and the exact sum of the correctly rounded quotients
-    lies within 2**-53 of 1, far inside PROB_SUM_TOLERANCE.
+    Returns ``(values, index, bounds)``: ``values`` holds each distinct
+    share once, and node i's shares are ``values[k]`` for k in
+    ``index[bounds[i]:bounds[i + 1]]``, the centre's first; an isolated
+    node's slice is empty. Graph caches the result. Each share is the
+    same single division d / total as in ``local_degree_distribution``,
+    and needs no ``_checked_distribution``: 1 <= d <= total, so it lies
+    in (0, 1], and the exact sum of the correctly rounded quotients lies
+    within 2**-53 of 1, far inside PROB_SUM_TOLERANCE.
     """
-    flat = array("d")
+    degrees = graph.degrees
+    # A new share takes the next id as it is first seen, so the keys are
+    # in id order.
+    ids: defaultdict[float, int] = defaultdict(count().__next__)
+    index = array("q")
     bounds = array("q", [0])
-    for node, degree in enumerate(graph.degrees):
-        if degree:
-            flat.extend(local_degree_distribution(graph, node))
-        bounds.append(len(flat))
-    return flat, bounds
+    for node, neighbours in enumerate(graph.adjacency):
+        if neighbours:
+            ego = [degrees[node], *map(degrees.__getitem__, neighbours)]
+            total = sum(ego)
+            index.extend(map(ids.__getitem__, [d / total for d in ego]))
+        bounds.append(len(index))
+    return array("d", ids), index, bounds
 
 
 def shannon_local_structure_entropy(graph: Graph, node: int) -> float:

@@ -12,11 +12,13 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from functools import lru_cache
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .entropy import local_structure_entropies
 from .graph import Graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Sweep used throughout: dense at small q where rankings churn, sparser
 # once they settle. 43 points over [0, 10].
@@ -256,6 +258,8 @@ def _discordant_pairs(order: np.ndarray) -> int:
     in one sorted array, so one searchsorted counts, for every right
     element, the larger left elements of its own block.
     """
+    import numpy as np  # only Kendall tau needs numpy; importing it is slow
+
     n = len(order)
     index = np.arange(n, dtype=np.int64)
     keys = order
@@ -279,6 +283,8 @@ def _numbering(ranking: Ranking) -> dict[str, int]:
 
 def _ids(ranking: Ranking, numbering: dict[str, int]) -> np.ndarray:
     """The ranking's labels, most influential first, as ids under numbering."""
+    import numpy as np
+
     return np.fromiter(
         map(numbering.__getitem__, ranking.ordered_labels), np.int64, len(numbering)
     )
@@ -286,6 +292,8 @@ def _ids(ranking: Ranking, numbering: dict[str, int]) -> np.ndarray:
 
 def _positions(ids: np.ndarray) -> np.ndarray:
     """Inverse permutation: the place of each label id in its ranking."""
+    import numpy as np
+
     position = np.empty_like(ids)
     position[ids] = np.arange(len(ids))
     return position

@@ -500,6 +500,35 @@ def test_output_file_matches_stdout(capsys, triangle_path, tmp_path):
     assert not bad_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["rank", "--q", "1.5"], ["sweep", "--grid", "0,0.25,1,2.2"]],
+    ids=lambda argv: argv[0],
+)
+def test_table_csv_bytes_match_csv_writer(capsys, tmp_path, argv):
+    # The table CSV is hand-joined; csv.writer on the JSON rows is the
+    # reference for its quoting, q cells and line endings.
+    edges = tmp_path / "labels.edges"
+    edges.write_text(
+        'a,b say"hi"\nsay"hi" é\né 007\n007 10\n10 a,b\né 10\n', encoding="utf-8"
+    )
+    csv_path, json_path = tmp_path / "table.csv", tmp_path / "table.json"
+    argv = [*argv, "--input", str(edges)]
+    assert main([*argv, "--output", str(csv_path)]) == 0
+    assert main([*argv, "--format", "json", "--output", str(json_path)]) == 0
+    capsys.readouterr()
+
+    rows = json.loads(json_path.read_text(encoding="utf-8"))["rows"]
+    reference = io.StringIO()
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(rows[0].keys())
+    for row in rows:
+        row["entropy"] = f"{row['entropy']:.6f}"
+        writer.writerow(row.values())
+    assert csv_path.read_bytes() == reference.getvalue().encode("utf-8")
+    assert {row["label"] for row in rows} == {"a,b", 'say"hi"', "é", "007", "10"}
+
+
 def test_parse_error_reports_path_and_line(capsys, tmp_path):
     path = tmp_path / "broken.edges"
     path.write_text("a b\na b c\n")
@@ -586,12 +615,26 @@ def test_console_script_entry_point(karate_path):
     assert proc.stdout.startswith("label,degree,entropy,rank")
 
 
-def test_import_leaves_scipy_unloaded():
+@pytest.mark.parametrize(
+    "module, code",
+    [
+        ("scipy", "import lsentropy"),
+        ("numpy", "import lsentropy"),
+        (
+            "numpy",
+            "from lsentropy import cli, karate_edges_path; "
+            "cli.main(['sweep', '--input', str(karate_edges_path()), "
+            "'--output', os.devnull])",
+        ),
+    ],
+    ids=["scipy-import", "numpy-import", "numpy-sweep"],
+)
+def test_heavy_module_stays_unloaded(module, code):
     import lsentropy
 
     src = str(Path(lsentropy.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, lsentropy; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", f"import os, sys; {code}; print({module!r} in sys.modules)"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},

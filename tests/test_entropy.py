@@ -16,6 +16,7 @@ from lsentropy import (
     sweep,
     tsallis_entropy,
 )
+from lsentropy.entropy import ego_share_vector
 
 
 def test_q_log_recovers_natural_log_at_one():
@@ -170,9 +171,26 @@ def test_score_all_equals_node_by_node_bitwise(karate, q):
     with_isolated = Graph(
         labels=("a", "b", "c", "z"), adjacency=((1, 2), (0,), (0,), ())
     )
-    for g in (karate, with_isolated):
+    # b's ego degrees (2, 1, 1) give 1/4 twice; x's ego degrees (2, 3, 3)
+    # give 2/8, the same float from another (d, total) pair.
+    coinciding = load_edge_list("a b\nb c\nx y\nx z\ny y1\ny y2\nz z1\nz z2\n")
+    for g in (karate, with_isolated, coinciding):
         expected = tuple(local_structure_entropy(g, i, q) for i in range(g.node_count))
         assert score_all(g, q).scores == expected
+
+        values, index, bounds = ego_share_vector(g)
+        assert len(set(values)) == len(values)
+        for node in range(g.node_count):
+            gathered = sorted(values[k] for k in index[bounds[node] : bounds[node + 1]])
+            if g.degrees[node]:
+                assert gathered == sorted(local_degree_distribution(g, node))
+            else:
+                assert gathered == []
+    b, x = coinciding.labels.index("b"), coinciding.labels.index("x")
+    values, index, bounds = ego_share_vector(coinciding)
+    quarter = values.index(0.25)
+    assert index[bounds[b] + 1 : bounds[b] + 3].tolist() == [quarter, quarter]
+    assert index[bounds[x]] == quarter
 
 
 def test_repeated_sweeps_on_one_graph_agree(karate):
