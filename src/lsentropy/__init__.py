@@ -11,7 +11,6 @@ from .entropy import (
     local_degree_distribution,
     local_structure_entropy,
     q_log,
-    shannon_local_structure_entropy,
     tsallis_entropy,
 )
 from .graph import (
@@ -19,7 +18,6 @@ from .graph import (
     EmptyGraphError,
     Graph,
     load_edge_list,
-    to_edge_list,
 )
 from .ranking import (
     DEFAULT_GRID_SPEC,
@@ -72,9 +70,7 @@ __all__ = [
     "rank",
     "refine_threshold",
     "score_all",
-    "shannon_local_structure_entropy",
     "sweep",
     "three_states",
-    "to_edge_list",
     "tsallis_entropy",
 ]

@@ -157,9 +157,7 @@ def cmd_threshold(args: argparse.Namespace) -> Result:
 
 def cmd_states(args: argparse.Namespace) -> Result:
     graph = _load_graph(args.input)
-    states = three_states(
-        graph, parse_grid(args.grid), jobs=args.jobs, relaxed_tau=args.relaxed_tau
-    )
+    states = three_states(graph, parse_grid(args.grid), relaxed_tau=args.relaxed_tau)
     fields, rows = {}, []
     for state, row_name in _STATE_ROW_NAMES.items():
         order = getattr(states, f"order_{state}")

@@ -175,8 +175,3 @@ def ego_share_vector(graph: Graph) -> tuple[array, array, array]:
             index.extend(map(ids.__getitem__, [d / total for d in ego]))
         bounds.append(len(index))
     return array("d", ids), index, bounds
-
-
-def shannon_local_structure_entropy(graph: Graph, node: int) -> float:
-    """Classical (q = 1) local structure entropy."""
-    return local_structure_entropy(graph, node, 1.0)

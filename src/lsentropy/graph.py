@@ -5,14 +5,16 @@ labels per line, ``#`` comments). Labels are interned to dense 0-based
 ids in first-appearance order; all public output is reported in terms of
 the original labels. Graphs are treated as simple, unweighted and
 undirected: duplicate edges collapse and self-loops are dropped (with a
-count kept for diagnostics).
+count kept for diagnostics). A graph is checked once, where it enters:
+graphs from ``load_edge_list`` or ``Graph.from_edge_labels`` are valid by
+construction, and ``Graph(labels=, adjacency=)`` checks what it is given.
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 
 class EdgeListParseError(ValueError):
@@ -40,7 +42,10 @@ class Graph:
             during ingestion (diagnostic only, excluded from equality).
 
     Instances are immutable after construction and safe to share across
-    threads and worker processes.
+    threads and worker processes. ``Graph(labels=, adjacency=)`` checks
+    its arguments and raises ValueError on any violation of the above;
+    graphs built by ``load_edge_list`` or ``from_edge_labels`` are valid
+    by construction and skip those checks.
     """
 
     labels: tuple[str, ...]
@@ -93,17 +98,19 @@ class Graph:
         return sum(self.degrees) // 2
 
     @classmethod
-    def from_edge_labels(
-        cls, pairs: Iterable[tuple[str, str]], self_loops_dropped: int = 0
-    ) -> "Graph":
+    def from_edge_labels(cls, pairs: Iterable[tuple[str, str]]) -> "Graph":
         """Build a graph from labelled edges, interning labels by first appearance.
 
-        Self-loop pairs are dropped (and counted); duplicate edges in either
-        orientation collapse. Raises EmptyGraphError if no edge survives.
+        Self-loop pairs are dropped (and counted) before their label is
+        interned, so a loop-only label never becomes a node; duplicate
+        edges in either orientation collapse. The result is not re-checked:
+        its labels are unique and its adjacency sorted, symmetric and
+        loop-free by construction. Raises EmptyGraphError if no edge
+        survives.
         """
         ids: dict[str, int] = {}
         edges: set[tuple[int, int]] = set()
-        dropped = self_loops_dropped
+        dropped = 0
         for a, b in pairs:
             if a == b:
                 dropped += 1
@@ -117,11 +124,14 @@ class Graph:
         for u, v in edges:
             neighbours[u].append(v)
             neighbours[v].append(u)
-        return cls(
-            labels=tuple(ids),
-            adjacency=tuple(tuple(sorted(n)) for n in neighbours),
-            self_loops_dropped=dropped,
-        )
+        adjacency = tuple(tuple(sorted(n)) for n in neighbours)
+        # Skips __post_init__: what it checks holds by construction here.
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "labels", tuple(ids))
+        object.__setattr__(graph, "adjacency", adjacency)
+        object.__setattr__(graph, "self_loops_dropped", dropped)
+        object.__setattr__(graph, "degrees", tuple(map(len, adjacency)))
+        return graph
 
 
 def load_edge_list(source: str | IO[str]) -> Graph:
@@ -135,63 +145,19 @@ def load_edge_list(source: str | IO[str]) -> Graph:
         EdgeListParseError: a line does not hold exactly two labels.
         EmptyGraphError: no edges remain after dropping self-loops.
     """
+    return Graph.from_edge_labels(_label_pairs(source))
+
+
+def _label_pairs(source: str | IO[str]) -> Iterator[tuple[str, str]]:
+    """Yield the two labels of each edge line, self-loops included."""
     lines = source.splitlines() if isinstance(source, str) else source
-    pairs: list[tuple[str, str]] = []
-    self_loops = 0
-    for line_number, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_number, line in enumerate(lines, start=1):
         tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
         if len(tokens) != 2:
             raise EdgeListParseError(
-                f"expected 2 labels, found {len(tokens)}: {line!r}", line_number
+                f"expected 2 labels, found {len(tokens)}: {line.strip()!r}",
+                line_number,
             )
-        if tokens[0] == tokens[1]:
-            # Counted here so the label is never interned: a dropped
-            # self-loop must not leave an isolated node behind.
-            self_loops += 1
-            continue
-        pairs.append((tokens[0], tokens[1]))
-    return Graph.from_edge_labels(pairs, self_loops_dropped=self_loops)
-
-
-def to_edge_list(graph: Graph) -> str:
-    """Serialize a graph to its canonical edge-list text.
-
-    The line order re-interns labels in the graph's id order, so
-    ``load_edge_list(to_edge_list(g)) == g`` for any graph built by
-    first-appearance interning. Graphs with isolated nodes have no
-    edge-list representation and raise ValueError.
-    """
-    n = graph.node_count
-    introduced = [False] * n
-    emitted: set[tuple[int, int]] = set()
-    lines: list[str] = []
-
-    def emit(u: int, v: int) -> None:
-        emitted.add((min(u, v), max(u, v)))
-        lines.append(f"{graph.labels[u]} {graph.labels[v]}")
-
-    for k in range(n):
-        if introduced[k]:
-            continue
-        prior = [m for m in graph.adjacency[k] if introduced[m]]
-        if prior:
-            emit(prior[0], k)
-        elif k + 1 in graph.adjacency[k]:
-            emit(k, k + 1)
-            introduced[k + 1] = True
-        else:
-            raise ValueError(
-                f"node {graph.labels[k]!r} cannot be reached in label order; "
-                "the graph has no canonical edge-list form"
-            )
-        introduced[k] = True
-
-    for u in range(n):
-        for v in graph.adjacency[u]:
-            if u < v and (u, v) not in emitted:
-                lines.append(f"{graph.labels[u]} {graph.labels[v]}")
-    return "\n".join(lines) + "\n"
-
+        yield tokens[0], tokens[1]

@@ -27,6 +27,9 @@ DEFAULT_GRID_SPEC = "0:2:0.1,2.2:4:0.2,4.5:10:0.5"
 # Upper bound accepted for the relaxed stability tolerance.
 MAX_RELAXED_TAU = 0.05
 
+# Width in q below which refine_threshold stops bisecting.
+REFINE_RESOLUTION = 0.1
+
 
 def label_sort_key(label: str) -> tuple[int, int, str]:
     """Tie-break key: integer labels ascend numerically and sort ahead of
@@ -203,13 +206,12 @@ def refine_threshold(
     graph: Graph,
     result: SweepResult,
     report: ThresholdReport,
-    resolution: float = 0.1,
     relaxed_tau: float | None = None,
 ) -> float | None:
     """Bisect between the last unstable and first stable grid point.
 
     Returns a q known to reproduce the stable ranking, within
-    ``resolution`` of the true onset (assuming stability is monotone in
+    REFINE_RESOLUTION of the true onset (assuming stability is monotone in
     q). Falls back to the reported p_value when it sits on the first
     grid point; None when no threshold was detected.
     """
@@ -220,7 +222,7 @@ def refine_threshold(
         return report.p_value
     floor = None if relaxed_tau is None else 1.0 - _checked_relaxed_tau(relaxed_tau)
     lo, hi = result.grid[index - 1], result.grid[index]
-    while hi - lo > resolution:
+    while hi - lo > REFINE_RESOLUTION:
         mid = (lo + hi) / 2.0
         candidate = rank(score_all(graph, mid))
         if floor is None:
@@ -234,14 +236,12 @@ def refine_threshold(
     return hi
 
 
-def three_states(
-    graph: Graph, grid, jobs: int = 1, relaxed_tau: float | None = None
-) -> ThreeStates:
+def three_states(graph: Graph, grid, relaxed_tau: float | None = None) -> ThreeStates:
     """Rankings at q=0 and q=1 plus the detected stable ranking."""
     grid = tuple(float(q) for q in grid)
     if 0.0 not in grid or 1.0 not in grid:
         raise ValueError("three-states grid must contain q=0 and q=1")
-    result = sweep(graph, grid, jobs=jobs)
+    result = sweep(graph, grid)
     report = detect_threshold(result, relaxed_tau=relaxed_tau)
     return ThreeStates(
         order_q0=result.rankings[grid.index(0.0)],

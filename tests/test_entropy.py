@@ -12,7 +12,6 @@ from lsentropy import (
     local_structure_entropy,
     q_log,
     score_all,
-    shannon_local_structure_entropy,
     sweep,
     tsallis_entropy,
 )
@@ -155,13 +154,6 @@ def test_entropy_rejects_bad_node():
     g = load_edge_list("a b\n")
     with pytest.raises(ValueError):
         local_structure_entropy(g, 5, 1.0)
-
-
-def test_shannon_wrapper_matches_q1(karate):
-    for i in range(karate.node_count):
-        assert shannon_local_structure_entropy(karate, i) == (
-            local_structure_entropy(karate, i, 1.0)
-        )
 
 
 @pytest.mark.parametrize(

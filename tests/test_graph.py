@@ -9,8 +9,8 @@ from lsentropy import (
     EmptyGraphError,
     Graph,
     load_edge_list,
+    load_karate,
     local_degree_distribution,
-    to_edge_list,
 )
 
 
@@ -60,10 +60,15 @@ def test_self_loops_excluded_from_equality():
 
 
 def test_parse_error_carries_line_number():
-    with pytest.raises(EdgeListParseError) as excinfo:
-        load_edge_list("a b\na b c\n")
-    assert excinfo.value.line_number == 2
-    assert "line 2" in str(excinfo.value)
+    # The second text's bad line follows a comment, a blank line and a
+    # self-loop; the parse streams, so a stream source must count alike.
+    cases = [("a b\na b c\n", 2), ("# edges\na b\n\nc c\n  x y z\nb c\n", 5)]
+    for text, line_number in cases:
+        for source in (text, io.StringIO(text)):
+            with pytest.raises(EdgeListParseError) as excinfo:
+                load_edge_list(source)
+            assert excinfo.value.line_number == line_number
+            assert f"line {line_number}: expected 2 labels" in str(excinfo.value)
 
 
 def test_single_token_line_rejected():
@@ -98,12 +103,9 @@ def test_graph_rejects_self_loop_in_adjacency():
         Graph(labels=("a",), adjacency=((0,),))
 
 
-def test_round_trip_small():
-    g = load_edge_list("a b\nc d\na d\n")
-    assert load_edge_list(to_edge_list(g)) == g
-
-
-def test_round_trip_random_graphs():
+def test_loaded_graph_passes_checked_constructor():
+    # load_edge_list skips Graph's checks, so each graph it builds must
+    # pass them when handed to the checked constructor.
     rng = random.Random(4)
     for _ in range(50):
         n = rng.randint(2, 20)
@@ -112,15 +114,28 @@ def test_round_trip_random_graphs():
             u, v = rng.randrange(n), rng.randrange(n)
             if u != v:
                 edges.add((min(u, v), max(u, v)))
-        text = "".join(f"{u} {v}\n" for u, v in sorted(edges))
-        g = load_edge_list(text)
-        assert load_edge_list(to_edge_list(g)) == g
+        lines = [f"{u} {v}" for u, v in sorted(edges)]
+        repeats = rng.sample(sorted(edges), len(edges) // 2)
+        lines += [f"{v} {u}" for u, v in repeats] + [f"{u} {v}" for u, v in repeats[::2]]
+        loops = [f"{u} {u}" for u in rng.choices(range(n), k=rng.randint(0, 3))]
+        lines += loops + ["# comment", "", "   "] * rng.randint(0, 2)
+        rng.shuffle(lines)
+        g = load_edge_list("\n".join(lines) + "\n")
+        checked = Graph(labels=g.labels, adjacency=g.adjacency)
+        assert checked == g
+        assert checked.degrees == g.degrees
+        assert g.self_loops_dropped == len(loops)
 
 
-def test_serialization_rejects_isolated_node():
-    g = Graph(labels=("a", "b", "c"), adjacency=((1,), (0,), ()))
-    with pytest.raises(ValueError, match="no canonical edge-list form"):
-        to_edge_list(g)
+def test_loaded_graph_is_not_rechecked(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Graph.__post_init__ ran on a loaded graph")
+
+    monkeypatch.setattr(Graph, "__post_init__", refuse)
+    g = load_karate()
+    assert (g.node_count, g.edge_count) == (34, 78)
+    with pytest.raises(AssertionError):
+        Graph(labels=g.labels, adjacency=g.adjacency)
 
 
 def test_ego_network_members_and_degrees():
