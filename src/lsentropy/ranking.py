@@ -171,6 +171,11 @@ def detect_threshold(
     to Kendall tau >= 1 - relaxed_tau, which tolerates sporadic adjacent
     swaps. A single final grid point never counts: at least two agreeing
     points are required, otherwise p_value is None.
+
+    The relaxed rule is decided on discordant-pair counts, which form a
+    metric on rankings: each candidate's count to the ranking after it
+    bounds its count to every older suffix member by the triangle
+    inequality, and only pairs those bounds leave undecided are counted.
     """
     if len(result.grid) < 2:
         raise ValueError("threshold detection needs a sweep of >= 2 grid points")
@@ -181,17 +186,18 @@ def detect_threshold(
         while start > 0 and rankings[start - 1] == rankings[start]:
             start -= 1
     else:
-        floor = 1.0 - _checked_relaxed_tau(relaxed_tau)
         numbering = _numbering(rankings[last])
+        limit = _discordant_limit(len(numbering), _checked_relaxed_tau(relaxed_tau))
         ids = _ids(rankings[last], numbering)
         positions = []  # of rankings[start:]
+        upper = []  # bounds on each position's count from rankings[start]
         while start > 0:
             positions.append(_positions(ids))
+            upper.append(0)
             ids = _ids(rankings[start - 1], numbering)
-            if all(_tau(position[ids]) >= floor for position in positions):
-                start -= 1
-            else:
+            if not _within_limit(ids, positions, upper, limit):
                 break
+            start -= 1
     suffix_length = len(rankings) - start
     if suffix_length >= 2:
         return ThresholdReport(
@@ -200,6 +206,32 @@ def detect_threshold(
             suffix_length=suffix_length,
         )
     return ThresholdReport(p_value=None, stable_ranking=None, suffix_length=suffix_length)
+
+
+def _within_limit(
+    ids: np.ndarray, positions: list[np.ndarray], upper: list[int], limit: int
+) -> bool:
+    """Whether ranking ``ids`` is within ``limit`` discordant pairs of every
+    ranking in ``positions``.
+
+    On entry ``upper[i]`` bounds the count from the last ranking in
+    ``positions`` to ranking i. The triangle inequality bounds the count
+    from ``ids`` by that plus the step between the two, so only rankings
+    whose bound exceeds the limit are counted exactly; on True, ``upper``
+    bounds the counts from ``ids``. A lower bound never decides alone:
+    every count on entry is within the limit, so the count from ``ids``
+    can exceed it by the triangle inequality only when the step does.
+    """
+    step = _discordant_pairs(positions[-1][ids])
+    if step > limit:
+        return False
+    for i, position in enumerate(positions):
+        upper[i] += step
+        if upper[i] > limit:
+            upper[i] = _discordant_pairs(position[ids])
+            if upper[i] > limit:
+                return False
+    return True
 
 
 def refine_threshold(
@@ -220,15 +252,19 @@ def refine_threshold(
     index = result.grid.index(report.p_value)
     if index == 0:
         return report.p_value
-    floor = None if relaxed_tau is None else 1.0 - _checked_relaxed_tau(relaxed_tau)
+    if relaxed_tau is not None:
+        # Numbered by the stable order, a candidate's ids are each label's
+        # place in the stable ranking.
+        numbering = _numbering(report.stable_ranking)
+        limit = _discordant_limit(len(numbering), _checked_relaxed_tau(relaxed_tau))
     lo, hi = result.grid[index - 1], result.grid[index]
     while hi - lo > REFINE_RESOLUTION:
         mid = (lo + hi) / 2.0
         candidate = rank(score_all(graph, mid))
-        if floor is None:
+        if relaxed_tau is None:
             stable = candidate == report.stable_ranking
         else:
-            stable = _kendall_tau(candidate, report.stable_ranking) >= floor
+            stable = _discordant_pairs(_ids(candidate, numbering)) <= limit
         if stable:
             hi = mid
         else:
@@ -312,9 +348,35 @@ def _tau(order: np.ndarray) -> float:
     n = len(order)
     if n < 2:
         return 1.0
+    return _tau_of_count(n, _discordant_pairs(order))
+
+
+def _tau_of_count(n: int, discordant: int) -> float:
+    """Tau-b's float expression for n >= 2 labels with ``discordant`` pairs."""
     total = n * (n - 1) // 2
-    tau = (total - 2 * _discordant_pairs(order)) / math.sqrt(total) / math.sqrt(total)
+    tau = (total - 2 * discordant) / math.sqrt(total) / math.sqrt(total)
     return min(1.0, max(-1.0, tau))
+
+
+def _discordant_limit(n: int, relaxed_tau: float) -> int:
+    """Largest discordant-pair count whose tau passes 1 - relaxed_tau.
+
+    Every IEEE operation in ``_tau_of_count`` is monotone, so its value is
+    non-increasing in the count, and ``count <= limit`` holds exactly when
+    ``_tau(order) >= 1 - relaxed_tau`` does. -1 when no count passes: a
+    floor that rounds to 1.0 fails identical rankings at the n where their
+    tau reads just below 1.
+    """
+    if n < 2:
+        return 0
+    floor = 1.0 - relaxed_tau
+    total = n * (n - 1) // 2
+    limit = int(total * relaxed_tau / 2)  # the boundary up to rounding
+    while limit >= 0 and _tau_of_count(n, limit) < floor:
+        limit -= 1
+    while limit < total and _tau_of_count(n, limit + 1) >= floor:
+        limit += 1
+    return limit
 
 
 def compare_rankings(a: Ranking, b: Ranking) -> RankingComparison:

@@ -1,9 +1,12 @@
-"""Output bytes of a benchmark-sized sweep against the digest perfbench pins.
+"""Output bytes of benchmark-sized runs against the digests perfbench pins.
 
 The karate digests that ``perfbench/tests`` checks come from a 34-node
-graph, whose ego shares rarely coincide; the sweep-er graph (ER, 10k
-nodes, 40k edges) gives the share table of ``entropy.ego_share_vector``
-1,774 distinct values for 89,999 shares, and the CSV emitter 430k rows.
+graph, whose ego shares rarely coincide, and run threshold detection in
+exact mode only. The sweep-er graph (ER, 10k nodes, 40k edges) gives the
+share table of ``entropy.ego_share_vector`` 1,774 distinct values for
+89,999 shares, and the CSV emitter 430k rows. The threshold-pa graph
+(preferential attachment, 10k nodes, m = 4) runs ``threshold --refine
+--relaxed-tau 0.05`` over a 14-point relaxed suffix and its bisection.
 """
 import sys
 from pathlib import Path
@@ -17,11 +20,19 @@ import golden  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
-def test_sweep_er_seed_0_matches_golden_digest(tmp_path):
-    workload = WORKLOADS["sweep-er"]
+def _assert_seed_0_matches_golden_digest(tmp_path, name):
+    workload = WORKLOADS[name]
     graph = tmp_path / "graph.edges"
     graph.write_text(corpus.edge_list_text(workload.edges(0)), encoding="utf-8")
     (argv,) = workload.argv(str(graph), str(tmp_path))
     assert main(argv) == 0
-    (name,) = workload.outputs
-    assert golden.digest(tmp_path / name) == golden.load()["sweep-er"]["0"][name]
+    (output,) = workload.outputs
+    assert golden.digest(tmp_path / output) == golden.load()[name]["0"][output]
+
+
+def test_sweep_er_seed_0_matches_golden_digest(tmp_path):
+    _assert_seed_0_matches_golden_digest(tmp_path, "sweep-er")
+
+
+def test_threshold_pa_seed_0_matches_golden_digest(tmp_path):
+    _assert_seed_0_matches_golden_digest(tmp_path, "threshold-pa")

@@ -3,14 +3,17 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
+from lsentropy import ranking as ranking_module
 from lsentropy import (
     DEFAULT_GRID_SPEC,
     Graph,
     Ranking,
     ScoreTable,
     SweepResult,
+    ThresholdReport,
     compare_rankings,
     default_grid,
     detect_threshold,
@@ -23,6 +26,7 @@ from lsentropy import (
     sweep,
     three_states,
 )
+from lsentropy.ranking import _discordant_limit, _kendall_tau, _tau
 
 
 def _fake_sweep(grid, orders):
@@ -176,6 +180,116 @@ def test_threshold_relaxed_tau_bounds():
             detect_threshold(result, relaxed_tau=bad)
 
 
+def _relaxed_all_pairs(result, relaxed_tau):
+    """The relaxed rule with every suffix pair put through tau's float."""
+    floor = 1.0 - relaxed_tau
+    rankings = result.rankings
+    start = len(rankings) - 1
+    while start > 0 and all(
+        _kendall_tau(rankings[start - 1], later) >= floor for later in rankings[start:]
+    ):
+        start -= 1
+    suffix_length = len(rankings) - start
+    if suffix_length >= 2:
+        return ThresholdReport(result.grid[start], rankings[-1], suffix_length)
+    return ThresholdReport(None, None, suffix_length)
+
+
+def _drifting_orders(rng, n, length):
+    """Up to three adjacent swaps between grid points, none most often, and
+    now and then a reshuffled run."""
+    order = [str(i) for i in range(n)]
+    rng.shuffle(order)
+    orders = []
+    for _ in range(length):
+        if rng.random() < 0.1:
+            i, j = sorted(rng.sample(range(n + 1), 2))
+            segment = order[i:j]
+            rng.shuffle(segment)
+            order[i:j] = segment
+        else:
+            for _ in range(rng.choice((0, 0, 0, 1, 1, 2, 3))):
+                i = rng.randrange(n - 1)
+                order[i], order[i + 1] = order[i + 1], order[i]
+        orders.append(tuple(order))
+    return orders
+
+
+@pytest.mark.parametrize("relaxed_tau", (0.05, 0.01, 0.005, 1e-17))
+def test_relaxed_detection_equals_all_pairs_rule(relaxed_tau):
+    # 1e-17 rounds the floor to 1.0, which identical rankings fail at
+    # n = 8, 12, 13, 25, ... where their tau reads just below 1.
+    rng = random.Random(11)
+    suffix_lengths = set()
+    for n in range(2, 61):
+        for _ in range(3):
+            orders = _drifting_orders(rng, n, rng.randint(2, 16))
+            result = _fake_sweep(range(len(orders)), orders)
+            report = detect_threshold(result, relaxed_tau=relaxed_tau)
+            assert report == _relaxed_all_pairs(result, relaxed_tau), (n, orders)
+            suffix_lengths.add(report.suffix_length)
+    assert len(suffix_lengths) >= 6
+
+
+def _with_inversions(n, discordant):
+    """A permutation of range(n) with exactly ``discordant`` inversions."""
+    remaining = list(range(n))
+    order = []
+    for i in range(n):
+        # the element taken has ``skip`` smaller ones left after it
+        skip = min(discordant, n - 1 - i)
+        order.append(remaining.pop(skip))
+        discordant -= skip
+    return np.array(order, dtype=np.int64)
+
+
+@pytest.mark.parametrize("relaxed_tau", (0.05, 0.03, 0.01, 0.005, 1e-3, 1e-17))
+def test_discordant_limit_is_the_exact_boundary(relaxed_tau):
+    floor = 1.0 - relaxed_tau
+
+    def passes(n, discordant):
+        total = n * (n - 1) // 2
+        tau = (total - 2 * discordant) / math.sqrt(total) / math.sqrt(total)
+        return min(1.0, max(-1.0, tau)) >= floor
+
+    limits = {}
+    for n in (*range(2, 301), 50_000):
+        limit = limits[n] = _discordant_limit(n, relaxed_tau)
+        if limit == -1:
+            assert not passes(n, 0), n
+            continue
+        assert 0 <= limit < n * (n - 1) // 2
+        assert passes(n, limit) and not passes(n, limit + 1), n
+    for n in (2, 8, 13, 25, 60, 300):
+        limit = limits[n]
+        if limit >= 0:
+            assert _tau(_with_inversions(n, limit)) >= floor
+        assert _tau(_with_inversions(n, limit + 1)) < floor
+    if relaxed_tau == 1e-17:
+        assert limits[8] == limits[12] == limits[13] == limits[25] == -1
+    assert _discordant_limit(1, relaxed_tau) == _discordant_limit(0, relaxed_tau) == 0
+
+
+def test_relaxed_detection_counts_grow_linearly(monkeypatch):
+    counted = []
+    count = ranking_module._discordant_pairs
+
+    def counting(order):
+        counted.append(len(order))
+        return count(order)
+
+    monkeypatch.setattr(ranking_module, "_discordant_pairs", counting)
+    rng = random.Random(5)
+    orders = [tuple(str(i) for i in range(200))]
+    for _ in range(59):
+        orders.append(_swap(orders[-1], rng.randrange(199)))
+    # 59 swaps at most leave tau >= 1 - 118/19900, inside the 0.05 budget
+    report = detect_threshold(_fake_sweep(range(60), orders), relaxed_tau=0.05)
+    assert report.suffix_length == 60
+    # the all-pairs rule counts 59 * 60 / 2 = 1,770 pairs
+    assert len(counted) <= 2 * 60
+
+
 def test_refine_at_first_grid_point_returns_it():
     g = load_edge_list(
         "\n".join(f"{u} {v}" for u, v in itertools.combinations("12345", 2))
@@ -201,6 +315,26 @@ def test_refine_narrows_between_grid_points(karate):
     refined = refine_threshold(karate, result, report)
     assert refined < 9.0
     assert rank(score_all(karate, refined)) == report.stable_ranking
+
+
+def test_refine_relaxed_accepts_exactly_the_tau_floor(monkeypatch):
+    # Bisection candidates on either side of the 0.01 budget at n = 30:
+    # 2 discordant pairs give tau 431/435, 3 give 429/435.
+    stable = Ranking(tuple(str(i) for i in range(30)))
+    at_limit, over = (
+        Ranking(tuple(str(i) for i in _with_inversions(30, d))) for d in (2, 3)
+    )
+    assert _kendall_tau(at_limit, stable) >= 1.0 - 0.01 > _kendall_tau(over, stable)
+    orders = [tuple(reversed(stable.ordered_labels))] + [stable.ordered_labels] * 2
+    result = _fake_sweep((0.0, 1.0, 2.0), orders)
+    report = detect_threshold(result, relaxed_tau=0.01)
+    assert report.p_value == 1.0
+    monkeypatch.setattr(ranking_module, "score_all", lambda graph, q: q)
+    monkeypatch.setattr(
+        ranking_module, "rank", lambda q: at_limit if q >= 0.3 else over
+    )
+    # midpoints 0.5, 0.25, 0.375, 0.3125: stable exactly from 0.3 on
+    assert refine_threshold(None, result, report, relaxed_tau=0.01) == 0.3125
 
 
 def test_three_states_path_center_first():
