@@ -10,7 +10,6 @@ from .entropy import (
     Q_ONE_TOLERANCE,
     local_degree_distribution,
     local_structure_entropy,
-    q_log,
     tsallis_entropy,
 )
 from .graph import (
@@ -66,7 +65,6 @@ __all__ = [
     "local_degree_distribution",
     "local_structure_entropy",
     "parse_grid",
-    "q_log",
     "rank",
     "refine_threshold",
     "score_all",

@@ -30,21 +30,6 @@ Q_ONE_TOLERANCE = 1e-9
 PROB_SUM_TOLERANCE = 1e-12
 
 
-def q_log(x: float, q: float) -> float:
-    """Deformed logarithm ln_q(x) = (x^(1-q) - 1) / (1 - q).
-
-    Defined for x > 0 and any finite q; continuous in q, with the
-    natural logarithm recovered at q = 1.
-    """
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
-        raise ValueError(f"q_log requires x > 0, got {x!r}")
-    if not math.isfinite(q):
-        raise ValueError(f"entropic index must be finite, got {q!r}")
-    if abs(q - 1.0) <= Q_ONE_TOLERANCE:
-        return math.log(x)
-    return (x ** (1.0 - q) - 1.0) / (1.0 - q)
-
-
 def _checked_entropic_index(q: float) -> float:
     q = float(q)
     if not math.isfinite(q) or q < 0.0:

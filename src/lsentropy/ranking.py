@@ -8,17 +8,15 @@ stops changing: the nonextensive threshold of the network.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from functools import lru_cache
+from itertools import compress, count
 import math
-from typing import TYPE_CHECKING
 
 from .entropy import local_structure_entropies
 from .graph import Graph
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Sweep used throughout: dense at small q where rankings churn, sparser
 # once they settle. 43 points over [0, 10].
@@ -29,6 +27,10 @@ MAX_RELAXED_TAU = 0.05
 
 # Width in q below which refine_threshold stops bisecting.
 REFINE_RESOLUTION = 0.1
+
+# Entries per sorted run that _discordant_pairs builds by insertion
+# before it merges runs pairwise.
+_BLOCK = 4096
 
 
 def label_sort_key(label: str) -> tuple[int, int, str]:
@@ -209,7 +211,7 @@ def detect_threshold(
 
 
 def _within_limit(
-    ids: np.ndarray, positions: list[np.ndarray], upper: list[int], limit: int
+    ids: list[int], positions: list[list[int]], upper: list[int], limit: int
 ) -> bool:
     """Whether ranking ``ids`` is within ``limit`` discordant pairs of every
     ranking in ``positions``.
@@ -222,13 +224,13 @@ def _within_limit(
     every count on entry is within the limit, so the count from ``ids``
     can exceed it by the triangle inequality only when the step does.
     """
-    step = _discordant_pairs(positions[-1][ids])
+    step = _discordant_pairs([positions[-1][i] for i in ids])
     if step > limit:
         return False
     for i, position in enumerate(positions):
         upper[i] += step
         if upper[i] > limit:
-            upper[i] = _discordant_pairs(position[ids])
+            upper[i] = _discordant_pairs([position[j] for j in ids])
             if upper[i] > limit:
                 return False
     return True
@@ -286,53 +288,53 @@ def three_states(graph: Graph, grid, relaxed_tau: float | None = None) -> ThreeS
     )
 
 
-def _discordant_pairs(order: np.ndarray) -> int:
+def _discordant_pairs(order: list[int]) -> int:
     """Pairs i < j with order[i] > order[j], for a permutation of range(n).
 
-    Bottom-up merge sort (Knight 1966), one vectorized merge level per
-    pass: shifting each 2w-block by block * n puts all sorted left runs
-    in one sorted array, so one searchsorted counts, for every right
-    element, the larger left elements of its own block.
+    Bottom-up merge count (Knight 1966). Each block of _BLOCK entries is
+    counted by insertion into a sorted run: at most _BLOCK moves per
+    entry, and almost none on the near-identical orders relaxed detection
+    compares. Runs then merge pairwise, an odd one carrying to the next
+    level: a right entry's place in the merged run, less its place in its
+    own run, counts the left entries below it, and the rest of the left
+    run lies above it. Each level is linear, so the worst case is
+    O(n log n) for the fixed block size.
     """
-    import numpy as np  # only Kendall tau needs numpy; importing it is slow
-
-    n = len(order)
-    index = np.arange(n, dtype=np.int64)
-    keys = order
-    count = 0
-    width = 1
-    while width < n:
-        offset = index // (2 * width) * n
-        keys = keys + offset
-        left = index % (2 * width) < width
-        left_keys = keys[left]
-        block_end = np.searchsorted(left_keys, offset[~left] + n)
-        count += int((block_end - np.searchsorted(left_keys, keys[~left])).sum())
-        keys = np.sort(keys) - offset
-        width *= 2
-    return count
+    discordant = 0
+    runs = []
+    for start in range(0, len(order), _BLOCK):
+        run: list[int] = []
+        for i, x in enumerate(order[start : start + _BLOCK]):
+            at = bisect_right(run, x)
+            discordant += i - at
+            run.insert(at, x)
+        runs.append(run)
+    while len(runs) > 1:
+        merged = []
+        for left, right in zip(runs[::2], runs[1::2]):
+            run = sorted(left + right)  # a linear merge of two sorted runs
+            places = sum(compress(count(), map(set(right).__contains__, run)))
+            below = places - len(right) * (len(right) - 1) // 2
+            discordant += len(left) * len(right) - below
+            merged.append(run)
+        if len(runs) % 2:
+            merged.append(runs[-1])
+        runs = merged
+    return discordant
 
 
 def _numbering(ranking: Ranking) -> dict[str, int]:
     return {label: i for i, label in enumerate(ranking.ordered_labels)}
 
 
-def _ids(ranking: Ranking, numbering: dict[str, int]) -> np.ndarray:
+def _ids(ranking: Ranking, numbering: dict[str, int]) -> list[int]:
     """The ranking's labels, most influential first, as ids under numbering."""
-    import numpy as np
-
-    return np.fromiter(
-        map(numbering.__getitem__, ranking.ordered_labels), np.int64, len(numbering)
-    )
+    return list(map(numbering.__getitem__, ranking.ordered_labels))
 
 
-def _positions(ids: np.ndarray) -> np.ndarray:
+def _positions(ids: list[int]) -> list[int]:
     """Inverse permutation: the place of each label id in its ranking."""
-    import numpy as np
-
-    position = np.empty_like(ids)
-    position[ids] = np.arange(len(ids))
-    return position
+    return sorted(range(len(ids)), key=ids.__getitem__)
 
 
 def _kendall_tau(a: Ranking, b: Ranking) -> float:
@@ -340,8 +342,12 @@ def _kendall_tau(a: Ranking, b: Ranking) -> float:
     return _tau(_ids(a, _numbering(b)))
 
 
-def _tau(order: np.ndarray) -> float:
-    """Kendall tau of rankings a and b, given each of a's labels' place in b."""
+def _tau(order: list[int]) -> float:
+    """Kendall tau of rankings a and b, given each of a's labels' place in b.
+
+    The discordant-pair count is an exact integer; only tau-b's float
+    expression rounds.
+    """
     # Permutations carry no ties, so tau-b coincides with plain tau. Keep
     # tau-b's float expression: identical rankings give 0.9999999999999999
     # at some n, and compare output bytes depend on that float.
@@ -383,8 +389,9 @@ def compare_rankings(a: Ranking, b: Ranking) -> RankingComparison:
     """Kendall tau-b plus top-5/top-10 overlap between two rankings.
 
     Raises:
-        ValueError: the rankings do not cover the same label set; the
-            message lists (up to) the first 10 differing labels.
+        ValueError: the rankings do not cover the same label set (the
+            message lists up to the first 10 differing labels), or both
+            are empty.
     """
     set_a, set_b = set(a.ordered_labels), set(b.ordered_labels)
     if set_a != set_b:
@@ -394,6 +401,8 @@ def compare_rankings(a: Ranking, b: Ranking) -> RankingComparison:
             + ", ".join(difference)
         )
     n = len(a.ordered_labels)
+    if n == 0:
+        raise ValueError("rankings are empty; there is nothing to compare")
     overlap = {}
     for k in (5, 10):
         capped = min(k, n)

@@ -379,6 +379,19 @@ def test_compare_missing_stable_row_fails(capsys, tmp_path):
     assert code == 1 and "no stable ordering" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["label,degree,entropy,rank\n", 'state,order\nOrder_q0,""\nOrder_q1,a\n'],
+    ids=["header-only-rank", "empty-states-cell"],
+)
+def test_compare_rejects_empty_rankings(capsys, tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    code, out, err = _run(capsys, "compare", str(path), str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "empty" in err
+
+
 def test_compare_rejects_unknown_header(capsys, tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("foo,bar\n1,2\n")
@@ -626,10 +639,23 @@ def test_console_script_entry_point(karate_path):
             "cli.main(['sweep', '--input', str(karate_edges_path()), "
             "'--output', os.devnull])",
         ),
+        (
+            "numpy",
+            "from lsentropy import cli, karate_edges_path; "
+            "assert cli.main(['threshold', '--refine', '--relaxed-tau', '0.05', "
+            "'--input', str(karate_edges_path()), '--output', os.devnull]) == 0",
+        ),
+        (
+            "numpy",
+            "from lsentropy import cli, karate_edges_path; k = str(karate_edges_path()); "
+            "assert cli.main(['rank', '--q', '1', '--input', k, '--output', 'r.csv']) == 0; "
+            "assert cli.main(['states', '--input', k, '--output', 's.csv']) == 0; "
+            "assert cli.main(['compare', 'r.csv', 's.csv', '--output', os.devnull]) == 0",
+        ),
     ],
-    ids=["scipy-import", "numpy-import", "numpy-sweep"],
+    ids=["scipy-import", "numpy-import", "numpy-sweep", "numpy-relaxed", "numpy-compare"],
 )
-def test_heavy_module_stays_unloaded(module, code):
+def test_heavy_module_stays_unloaded(module, code, tmp_path):
     import lsentropy
 
     src = str(Path(lsentropy.__file__).resolve().parent.parent)
@@ -638,6 +664,7 @@ def test_heavy_module_stays_unloaded(module, code):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
+        cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"

@@ -1,4 +1,4 @@
-"""Tsallis entropy, the q-logarithm, and per-node structure entropy."""
+"""Tsallis entropy and per-node structure entropy."""
 import math
 import random
 
@@ -10,39 +10,11 @@ from lsentropy import (
     load_edge_list,
     local_degree_distribution,
     local_structure_entropy,
-    q_log,
     score_all,
     sweep,
     tsallis_entropy,
 )
 from lsentropy.entropy import ego_share_vector
-
-
-def test_q_log_recovers_natural_log_at_one():
-    for x in (0.25, 1.0, 3.0, 40.0):
-        assert q_log(x, 1.0) == math.log(x)
-
-
-def test_q_log_closed_forms():
-    # q=0: x - 1; q=2: 1 - 1/x
-    assert q_log(5.0, 0.0) == pytest.approx(4.0)
-    assert q_log(5.0, 2.0) == pytest.approx(1.0 - 1.0 / 5.0)
-
-
-def test_q_log_continuous_near_one():
-    for q in (1.0 - 1e-6, 1.0 + 1e-6):
-        assert q_log(7.0, q) == pytest.approx(math.log(7.0), abs=1e-5)
-
-
-def test_q_log_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        q_log(0.0, 1.0)
-    with pytest.raises(ValueError):
-        q_log(-2.0, 1.0)
-    with pytest.raises(ValueError):
-        q_log(math.inf, 1.0)
-    with pytest.raises(ValueError):
-        q_log(2.0, math.nan)
 
 
 def test_tsallis_uniform_hand_values():

@@ -7,6 +7,8 @@ share table of ``entropy.ego_share_vector`` 1,774 distinct values for
 89,999 shares, and the CSV emitter 430k rows. The threshold-pa graph
 (preferential attachment, 10k nodes, m = 4) runs ``threshold --refine
 --relaxed-tau 0.05`` over a 14-point relaxed suffix and its bisection.
+The rank-compare graph (ER, 50k nodes, 200k edges) ranks at q = 0 and
+q = 1 and compares the two CSVs, a Kendall count over 50k labels.
 """
 import sys
 from pathlib import Path
@@ -24,10 +26,11 @@ def _assert_seed_0_matches_golden_digest(tmp_path, name):
     workload = WORKLOADS[name]
     graph = tmp_path / "graph.edges"
     graph.write_text(corpus.edge_list_text(workload.edges(0)), encoding="utf-8")
-    (argv,) = workload.argv(str(graph), str(tmp_path))
-    assert main(argv) == 0
-    (output,) = workload.outputs
-    assert golden.digest(tmp_path / output) == golden.load()[name]["0"][output]
+    for argv in workload.argv(str(graph), str(tmp_path)):
+        assert main(argv) == 0
+    pinned = golden.load()[name]["0"]
+    for output in workload.outputs:
+        assert golden.digest(tmp_path / output) == pinned[output], output
 
 
 def test_sweep_er_seed_0_matches_golden_digest(tmp_path):
@@ -36,3 +39,7 @@ def test_sweep_er_seed_0_matches_golden_digest(tmp_path):
 
 def test_threshold_pa_seed_0_matches_golden_digest(tmp_path):
     _assert_seed_0_matches_golden_digest(tmp_path, "threshold-pa")
+
+
+def test_rank_compare_seed_0_matches_golden_digest(tmp_path):
+    _assert_seed_0_matches_golden_digest(tmp_path, "rank-compare")

@@ -3,7 +3,6 @@ import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 
 from lsentropy import ranking as ranking_module
@@ -26,7 +25,13 @@ from lsentropy import (
     sweep,
     three_states,
 )
-from lsentropy.ranking import _discordant_limit, _kendall_tau, _tau
+from lsentropy.ranking import (
+    _BLOCK,
+    _discordant_limit,
+    _discordant_pairs,
+    _kendall_tau,
+    _tau,
+)
 
 
 def _fake_sweep(grid, orders):
@@ -240,7 +245,45 @@ def _with_inversions(n, discordant):
         skip = min(discordant, n - 1 - i)
         order.append(remaining.pop(skip))
         discordant -= skip
-    return np.array(order, dtype=np.int64)
+    return order
+
+
+def _fenwick_discordant(order):
+    """Inversions of a permutation of range(n), one Fenwick-tree query per
+    entry: how many earlier entries exceed it."""
+    tree = [0] * (len(order) + 1)
+    discordant = 0
+    for seen, x in enumerate(order):
+        i = x + 1
+        while i:  # earlier entries <= x
+            discordant -= tree[i]
+            i -= i & -i
+        discordant += seen
+        i = x + 1
+        while i < len(tree):
+            tree[i] += 1
+            i += i & -i
+    return discordant
+
+
+def test_discordant_pairs_across_blocks():
+    # Five runs: the odd one carries past the first two merge levels.
+    n = 4 * _BLOCK + 17
+    total = n * (n - 1) // 2
+    assert _discordant_pairs(list(range(n))) == 0
+    assert _discordant_pairs(list(range(n))[::-1]) == total
+    rng = random.Random(17)
+    near = list(range(n))
+    for _ in range(300):  # adjacent swaps, some across block edges
+        i = rng.choice((rng.randrange(n - 1), rng.randrange(1, 5) * _BLOCK - 1))
+        near[i], near[i + 1] = near[i + 1], near[i]
+    shuffled = list(range(n))
+    rng.shuffle(shuffled)
+    for order in (near, shuffled, shuffled[::-1]):
+        assert _discordant_pairs(order) == _fenwick_discordant(order)
+    for discordant in (0, 1, total // 3, total - 1, total):
+        assert _discordant_pairs(_with_inversions(n, discordant)) == discordant
+    assert _fenwick_discordant(_with_inversions(n, total // 3)) == total // 3
 
 
 @pytest.mark.parametrize("relaxed_tau", (0.05, 0.03, 0.01, 0.005, 1e-3, 1e-17))
