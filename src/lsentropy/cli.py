@@ -20,8 +20,12 @@ and its CSV ``header`` and ``rows`` side by side, because the two
 formats order, name and spell them differently. CSV output is
 UTF-8 with LF line endings and a header row. JSON output also echoes
 the arguments listed next to the subcommand in ``_DISPATCH``; the echo
-excludes the output path and the ignored --jobs, which cannot affect the
-numbers: identical (input, parameters) must produce byte-identical output.
+excludes the output path and --jobs, which cannot affect the numbers:
+identical (input, parameters) must produce byte-identical output.
+
+``--jobs`` splits a grid command's q points, and the table CSV's blocks,
+over that many processes forked from this one (``_workers.forked_map``);
+it defaults to, and is capped at, the CPUs this process may use.
 """
 from __future__ import annotations
 
@@ -29,10 +33,12 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from itertools import repeat
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
+from ._workers import forked_map
 from .graph import EdgeListParseError, EmptyGraphError, Graph, load_edge_list
 from .ranking import (
     DEFAULT_GRID_SPEC,
@@ -58,15 +64,28 @@ Result = tuple[dict | None, tuple[str, ...], Iterable[tuple]]
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    """The argument checks argparse cannot express, run before any file is read."""
+    """The argument checks argparse cannot express, run before any file is
+    read; also resolves ``args.jobs`` to a worker count."""
     q = getattr(args, "q", 0.0)
     if not (math.isfinite(q) and q >= 0.0):
         raise ValueError("--q must be finite and >= 0")
     relaxed_tau = getattr(args, "relaxed_tau", None)
     if relaxed_tau is not None and not 0.0 < relaxed_tau <= MAX_RELAXED_TAU:
         raise ValueError(f"--relaxed-tau must lie in (0, {MAX_RELAXED_TAU}]")
-    if getattr(args, "jobs", 1) < 1:
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None and jobs < 1:
         raise ValueError("--jobs must be >= 1")
+    args.jobs = _job_count(jobs)
+
+
+def _job_count(requested: int | None) -> int:
+    """Worker processes for ``--jobs requested``: the CPUs this process may
+    use when None, and never more than them."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return cpus if requested is None else min(requested, cpus)
 
 
 def _load_graph(path: str) -> Graph:
@@ -103,23 +122,27 @@ def _label_line(labels: Iterable[str]) -> str:
     return _csv_lines([labels])[0]
 
 
-def _table_blocks(
+def _table_block(
     header, labels, q_cell, graph: Graph, tables, rankings
-) -> Iterator[tuple[Iterator, Iterator, Iterator]]:
-    """Each scored q's rows in ranking order, as iterators over the first
-    two columns that ``header`` names and over the entropies; a row's
-    rank is its position. ``labels`` (by node id) and ``q_cell`` give
-    the label and q cells."""
+) -> Callable[[int], tuple[Iterator, Iterator, Iterator]]:
+    """A function of k giving the k-th scored q's rows in ranking order,
+    as iterators over the first two columns that ``header`` names and
+    over the entropies; a row's rank is its position. ``labels`` (by node
+    id) and ``q_cell`` give the label and q cells."""
     index = {label: i for i, label in enumerate(graph.labels)}
-    for table, ranking in zip(tables, rankings):
-        order = list(map(index.__getitem__, ranking.ordered_labels))
+
+    def block(k: int) -> tuple[Iterator, Iterator, Iterator]:
+        table = tables[k]
+        order = list(map(index.__getitem__, rankings[k].ordered_labels))
         columns = {
             "q": repeat(q_cell(table.q)),
             "label": map(labels.__getitem__, order),
             "degree": map(graph.degrees.__getitem__, order),
         }
         entropies = map(table.scores.__getitem__, order)
-        yield columns[header[0]], columns[header[1]], entropies
+        return columns[header[0]], columns[header[1]], entropies
+
+    return block
 
 
 def cmd_rank(args: argparse.Namespace) -> Result:
@@ -157,7 +180,9 @@ def cmd_threshold(args: argparse.Namespace) -> Result:
 
 def cmd_states(args: argparse.Namespace) -> Result:
     graph = _load_graph(args.input)
-    states = three_states(graph, parse_grid(args.grid), relaxed_tau=args.relaxed_tau)
+    states = three_states(
+        graph, parse_grid(args.grid), relaxed_tau=args.relaxed_tau, jobs=args.jobs
+    )
     fields, rows = {}, []
     for state, row_name in _STATE_ROW_NAMES.items():
         order = getattr(states, f"order_{state}")
@@ -222,7 +247,8 @@ def _emit(args: argparse.Namespace, fields, header, rows, handle: IO[str]) -> No
     table and record rules in the module docstring."""
     if args.format == "json":
         if fields is None:
-            blocks = _table_blocks(header, rows[0].labels, float, *rows)
+            block = _table_block(header, rows[0].labels, float, *rows)
+            blocks = map(block, range(len(rows[1])))
             fields = {"rows": [
                 dict(zip(header, (*cells, position)))
                 for block in blocks
@@ -234,16 +260,20 @@ def _emit(args: argparse.Namespace, fields, header, rows, handle: IO[str]) -> No
         handle.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
         return
     if fields is None:
-        # One write per scored q. csv.writer quotes each label once, and
-        # q is formatted once per block as repr, which csv.writer writes
-        # for a float.
-        labels = _csv_lines(zip(rows[0].labels))
-        handle.write(",".join(header) + "\n")
-        for block in _table_blocks(header, labels, repr, *rows):
-            handle.write("".join([
+        # One write per scored q, its block formatted by one of args.jobs
+        # processes. csv.writer quotes each label once, and q is formatted
+        # once per block as repr, which csv.writer writes for a float.
+        block = _table_block(header, _csv_lines(zip(rows[0].labels)), repr, *rows)
+
+        def formatted(k: int) -> bytes:
+            return "".join([
                 f"{a},{b},{entropy:.6f},{position}\n"
-                for position, (a, b, entropy) in enumerate(zip(*block), start=1)
-            ]))
+                for position, (a, b, entropy) in enumerate(zip(*block(k)), start=1)
+            ]).encode()
+
+        handle.write(",".join(header) + "\n")
+        for text in forked_map(formatted, range(len(rows[1])), args.jobs):
+            handle.write(text.decode())
         return
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
@@ -297,8 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         metavar="N",
         type=int,
-        default=1,
-        help="ignored, kept for compatibility; must be >= 1 (default: 1)",
+        default=None,
+        help=(
+            "processes that score the grid points and format the sweep CSV, "
+            "capped at the usable CPUs; output is the same for every N "
+            "(default: the usable CPUs)"
+        ),
     )
 
     p_rank = sub.add_parser(

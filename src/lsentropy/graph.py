@@ -12,8 +12,10 @@ construction, and ``Graph(labels=, adjacency=)`` checks what it is given.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count
 from typing import IO, Iterable, Iterator
 
 
@@ -108,23 +110,24 @@ class Graph:
         loop-free by construction. Raises EmptyGraphError if no edge
         survives.
         """
-        ids: dict[str, int] = {}
-        edges: set[tuple[int, int]] = set()
+        # A new label takes the next id as it is first seen, so the keys
+        # are in id order.
+        ids: defaultdict[str, int] = defaultdict(count().__next__)
+        ends: list[int] = []  # the two endpoint ids of each edge, in turn
         dropped = 0
         for a, b in pairs:
             if a == b:
                 dropped += 1
                 continue
-            u = ids.setdefault(a, len(ids))
-            v = ids.setdefault(b, len(ids))
-            edges.add((min(u, v), max(u, v)))
-        if not edges:
+            ends.append(ids[a])
+            ends.append(ids[b])
+        if not ends:
             raise EmptyGraphError("no edges found in input")
         neighbours: list[list[int]] = [[] for _ in range(len(ids))]
-        for u, v in edges:
+        for u, v in zip(ends[::2], ends[1::2]):
             neighbours[u].append(v)
             neighbours[v].append(u)
-        adjacency = tuple(tuple(sorted(n)) for n in neighbours)
+        adjacency = tuple(tuple(sorted(set(n))) for n in neighbours)
         # Skips __post_init__: what it checks holds by construction here.
         graph = object.__new__(cls)
         object.__setattr__(graph, "labels", tuple(ids))

@@ -8,13 +8,16 @@ stops changing: the nonextensive threshold of the network.
 """
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from functools import lru_cache
 from itertools import compress, count
 import math
+from operator import itemgetter
 
+from ._workers import forked_map
 from .entropy import local_structure_entropies
 from .graph import Graph
 
@@ -143,14 +146,46 @@ def _checked_grid(grid: tuple[float, ...]) -> tuple[float, ...]:
 def sweep(graph: Graph, grid, jobs: int = 1) -> SweepResult:
     """Score and rank every node at each grid point.
 
-    ``jobs`` is accepted and ignored: every grid point reuses the ego
-    shares the graph builds once, which a worker process would have to
-    rebuild, so the sweep runs in this process.
+    ``jobs`` > 1 splits the grid points over up to that many processes:
+    this one, and workers forked from it once the graph's ego shares are
+    built, so that each inherits them rather than rebuilding them. A
+    worker sends back each of its points' scores, and its ranking as node
+    ids, and this process rebuilds the tables and rankings from them, so
+    the result is the same for every ``jobs``. The default, 1, forks
+    nothing: forking is unsafe in a process that runs threads, so ask for
+    more only where the caller runs none.
+
+    Raises:
+        ValueError: a bad grid, or ``jobs`` < 1.
+        ChildProcessError: a forked worker failed.
     """
     grid = _checked_grid(tuple(float(q) for q in grid))
-    tables = tuple(score_all(graph, q) for q in grid)
-    rankings = tuple(rank(t) for t in tables)
-    return SweepResult(grid=grid, score_tables=tables, rankings=rankings)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+    labels = graph.labels
+    graph._ego_shares  # built here, before the fork, for the workers to inherit
+    _label_order(labels)
+    ids = {label: i for i, label in enumerate(labels)}
+
+    def point(q: float) -> bytes:
+        table = score_all(graph, q)
+        order = [ids[label] for label in rank(table).ordered_labels]
+        return b"".join([array("d", table.scores), array("q", order)])
+
+    tables, rankings = [], []
+    split = array("d").itemsize * len(labels)  # bytes of the scores
+    for q, data in zip(grid, forked_map(point, grid, jobs)):
+        view = memoryview(data)
+        tables.append(ScoreTable(q=q, labels=labels, scores=tuple(view[:split].cast("d"))))
+        rankings.append(Ranking(_labels_at(labels, view[split:].cast("q"))))
+    return SweepResult(grid=grid, score_tables=tuple(tables), rankings=tuple(rankings))
+
+
+def _labels_at(labels: tuple[str, ...], ids) -> tuple[str, ...]:
+    """``labels[i]`` for each i in ids, in a tuple allocated at its final
+    size: one grown from an iterator is reallocated as it grows, which left
+    the heap of a 43-point sweep of 10k nodes about 1 MB larger."""
+    return itemgetter(*ids)(labels) if len(ids) > 1 else tuple(labels[i] for i in ids)
 
 
 def _checked_relaxed_tau(relaxed_tau: float) -> float:
@@ -274,12 +309,15 @@ def refine_threshold(
     return hi
 
 
-def three_states(graph: Graph, grid, relaxed_tau: float | None = None) -> ThreeStates:
-    """Rankings at q=0 and q=1 plus the detected stable ranking."""
+def three_states(
+    graph: Graph, grid, relaxed_tau: float | None = None, jobs: int = 1
+) -> ThreeStates:
+    """Rankings at q=0 and q=1 plus the detected stable ranking, from a
+    ``sweep`` over ``jobs`` processes."""
     grid = tuple(float(q) for q in grid)
     if 0.0 not in grid or 1.0 not in grid:
         raise ValueError("three-states grid must contain q=0 and q=1")
-    result = sweep(graph, grid)
+    result = sweep(graph, grid, jobs)
     report = detect_threshold(result, relaxed_tau=relaxed_tau)
     return ThreeStates(
         order_q0=result.rankings[grid.index(0.0)],

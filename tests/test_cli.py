@@ -19,6 +19,7 @@ from lsentropy import (
     rank,
     score_all,
 )
+from lsentropy import cli, ranking
 from lsentropy.cli import main
 
 
@@ -582,6 +583,57 @@ def test_jobs_must_be_positive(capsys, karate_path):
     assert code == 1 and "--jobs" in err
 
 
+def test_jobs_default_to_and_cap_at_usable_cpus():
+    cpus = len(os.sched_getaffinity(0))
+    assert cli._job_count(None) == cpus
+    assert cli._job_count(1_000_000) == cpus
+    assert cli._job_count(1) == 1
+
+
+def test_failed_worker_exits_1_without_traceback(capsys, monkeypatch, karate_path):
+    real = ranking.score_all
+
+    def failing(graph, q):
+        if q == 1.0:  # item 1 of (0, 1, 2): forked worker 1's with --jobs 2
+            raise RuntimeError("boom")
+        return real(graph, q)
+
+    monkeypatch.setattr(ranking, "score_all", failing)
+    monkeypatch.setattr(cli, "_job_count", lambda requested: requested)  # any CPU count
+    code, out, err = _run(
+        capsys, "sweep", "--input", karate_path, "--grid", "0,1,2", "--jobs", "2"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: worker 1 failed on item 1: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep"], ["threshold", "--refine"], ["states"]],
+    ids=["sweep", "threshold", "states"],
+)
+def test_stdout_bytes_same_for_any_jobs(argv, karate_path):
+    """A forked worker inherits this process's buffered stdout; it must
+    never flush it, or the header would be written twice."""
+    import lsentropy
+
+    src = str(Path(lsentropy.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe stays block-buffered
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "lsentropy.cli", *argv, "--input", karate_path,
+             "--jobs", jobs],
+            capture_output=True,
+            env=env,
+            check=True,
+        ).stdout
+        for jobs in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") > 1
+
+
 def test_json_config_echo_excludes_parallelism(capsys, karate_path):
     _, serial, _ = _run(
         capsys,
@@ -652,8 +704,25 @@ def test_console_script_entry_point(karate_path):
             "assert cli.main(['states', '--input', k, '--output', 's.csv']) == 0; "
             "assert cli.main(['compare', 'r.csv', 's.csv', '--output', os.devnull]) == 0",
         ),
+        *(
+            (
+                module,
+                "from lsentropy import cli, karate_edges_path; "
+                "assert cli.main(['sweep', '--jobs', '2', '--input', "
+                "str(karate_edges_path()), '--output', os.devnull]) == 0",
+            )
+            for module in ("multiprocessing", "pickle")
+        ),
     ],
-    ids=["scipy-import", "numpy-import", "numpy-sweep", "numpy-relaxed", "numpy-compare"],
+    ids=[
+        "scipy-import",
+        "numpy-import",
+        "numpy-sweep",
+        "numpy-relaxed",
+        "numpy-compare",
+        "multiprocessing-sweep",
+        "pickle-sweep",
+    ],
 )
 def test_heavy_module_stays_unloaded(module, code, tmp_path):
     import lsentropy

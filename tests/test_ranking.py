@@ -1,6 +1,7 @@
 """Rankings, grid sweeps, threshold detection, and comparisons."""
 import itertools
 import math
+import os
 import random
 
 import pytest
@@ -123,8 +124,49 @@ def test_sweep_rejects_bad_grids(karate):
 
 
 def test_sweep_parallel_equals_serial(karate):
+    """Forked workers give the serial result for any worker count, more
+    workers than grid points included, and the serial result is what
+    score_all and rank give point by point."""
+    rng = random.Random(300)
+    edges = {tuple(sorted(rng.sample(range(300), 2))) for _ in range(900)}
+    seeded = Graph.from_edge_labels((str(u), str(v)) for u, v in sorted(edges))
     grid = parse_grid("0:2:0.5")
-    assert sweep(karate, grid, jobs=2) == sweep(karate, grid, jobs=1)
+    for graph in (karate, seeded):
+        serial = sweep(graph, grid, jobs=1)
+        tables = tuple(score_all(graph, q) for q in grid)
+        assert serial == SweepResult(grid, tables, tuple(map(rank, tables)))
+        for jobs in (2, 3, len(grid) + 5):
+            assert sweep(graph, grid, jobs=jobs) == serial
+    states_grid = (0.0, 1.0, 2.0, 3.0)
+    assert three_states(karate, states_grid, jobs=3) == three_states(karate, states_grid)
+
+
+def test_sweep_of_graphs_with_fewer_than_two_nodes():
+    for labels in ((), ("a",)):
+        graph = Graph(labels=labels, adjacency=((),) * len(labels))
+        result = sweep(graph, (0.0, 1.0), jobs=2)
+        assert result.rankings == (Ranking(labels),) * 2
+        assert [t.scores for t in result.score_tables] == [(0.0,) * len(labels)] * 2
+
+
+def test_sweep_rejects_jobs_below_one(karate):
+    with pytest.raises(ValueError, match="jobs"):
+        sweep(karate, (0.0, 1.0), jobs=0)
+
+
+def test_failed_sweep_worker_raises_and_is_reaped(karate, monkeypatch):
+    real = ranking_module.score_all
+
+    def failing(graph, q):
+        if q == 1.0:  # item 1 of (0, 1, 2): forked worker 1's with jobs=2
+            raise RuntimeError("boom")
+        return real(graph, q)
+
+    monkeypatch.setattr(ranking_module, "score_all", failing)
+    with pytest.raises(ChildProcessError, match="worker 1 failed on item 1: RuntimeError: boom"):
+        sweep(karate, (0.0, 1.0, 2.0), jobs=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child left to wait for
 
 
 def test_threshold_all_identical_starts_at_first_point():
