@@ -11,17 +11,20 @@ Every subcommand returns one ``(fields, header, rows)`` result, and
 ``_emit`` alone writes it. A table (``rank``, ``sweep``: ``fields`` is
 None) passes ``(graph, score tables, rankings)`` as its rows; it is four
 columns whose third is an entropy and whose fourth is the rank, one
-block of rows per scored q in ranking order. CSV writes each block with
-one write of hand-joined lines, the labels quoted once per command by
-``csv.writer`` itself, q as its repr and the entropy at 6 decimals; JSON
-gives one object per row at full float precision. A record
-(``threshold``, ``states``, ``compare``) carries its JSON ``fields``
-and its CSV ``header`` and ``rows`` side by side, because the two
-formats order, name and spell them differently. CSV output is
+block of rows per scored q in ranking order, read by indexing the
+graph's columns with each ranking's node-id order. CSV writes each
+block with one write of hand-joined lines, the labels quoted once per
+command by ``csv.writer`` itself, q as its repr and the entropy at 6
+decimals; JSON gives one object per row at full float precision. A
+record (``threshold``, ``states``, ``compare``) carries its JSON
+``fields`` and its CSV ``header`` and ``rows`` side by side, because
+the two formats order, name and spell them differently. CSV output is
 UTF-8 with LF line endings and a header row. JSON output also echoes
 the arguments listed next to the subcommand in ``_DISPATCH``; the echo
 excludes the output path and --jobs, which cannot affect the numbers:
 identical (input, parameters) must produce byte-identical output.
+``compare`` re-indexes its second ranking into the first's labels once,
+as it loads them, so tau and the overlaps compare id orders.
 
 ``--jobs`` splits a grid command's q points, and the table CSV's blocks,
 over that many processes forked from this one (``_workers.forked_map``);
@@ -128,12 +131,12 @@ def _table_block(
     """A function of k giving the k-th scored q's rows in ranking order,
     as iterators over the first two columns that ``header`` names and
     over the entropies; a row's rank is its position. ``labels`` (by node
-    id) and ``q_cell`` give the label and q cells."""
-    index = {label: i for i, label in enumerate(graph.labels)}
+    id) and ``q_cell`` give the label and q cells. Each ranking orders
+    the graph's own labels, so its order indexes the columns directly."""
 
     def block(k: int) -> tuple[Iterator, Iterator, Iterator]:
         table = tables[k]
-        order = list(map(index.__getitem__, rankings[k].ordered_labels))
+        order = rankings[k].order
         columns = {
             "q": repeat(q_cell(table.q)),
             "label": map(labels.__getitem__, order),
@@ -221,8 +224,10 @@ def _load_ranking_csv(path: str, state: str) -> Ranking:
 
 
 def cmd_compare(args: argparse.Namespace) -> Result:
+    # Both rankings order a's labels from here on, so comparing them, and
+    # any detection over them, reads ids alone.
     ranking_a = _load_ranking_csv(args.input_a, args.state_a)
-    ranking_b = _load_ranking_csv(args.input_b, args.state_b)
+    ranking_b = _load_ranking_csv(args.input_b, args.state_b).over(ranking_a.labels)
     comparison = compare_rankings(ranking_a, ranking_b)
     fields = {
         "kendall_tau": comparison.kendall_tau,

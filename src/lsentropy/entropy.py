@@ -116,8 +116,9 @@ def local_structure_entropy(graph: Graph, node: int, q: float) -> float:
     return tsallis_entropy(local_degree_distribution(graph, node), q)
 
 
-def local_structure_entropies(graph: Graph, q: float) -> tuple[float, ...]:
-    """``local_structure_entropy`` of every node, in node-id order.
+def local_structure_entropies(graph: Graph, q: float) -> array:
+    """``local_structure_entropy`` of every node, in node-id order, as an
+    ``array('d')``.
 
     The ego shares are built once per graph, on the first call. Each q
     then evaluates its term once per distinct share and sums, per node,
@@ -129,7 +130,7 @@ def local_structure_entropies(graph: Graph, q: float) -> tuple[float, ...]:
     values, index, bounds = graph._ego_shares
     table = list(map(term, values))
     terms = map(table.__getitem__, index)
-    return tuple([
+    return array("d", [
         entropy(math.fsum(islice(terms, b - a))) if a < b else 0.0
         for a, b in zip(bounds, bounds[1:])
     ])

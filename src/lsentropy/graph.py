@@ -42,6 +42,10 @@ class Graph:
         degrees: per-node neighbour count, derived from adjacency.
         self_loops_dropped: how many self-loop lines were discarded
             during ingestion (diagnostic only, excluded from equality).
+        duplicate_edges_collapsed: how many edge lines repeated an edge
+            already read, in either orientation, and were collapsed into
+            it during ingestion; self-loops are not counted here
+            (diagnostic only, excluded from equality).
 
     Instances are immutable after construction and safe to share across
     threads and worker processes. ``Graph(labels=, adjacency=)`` checks
@@ -53,6 +57,7 @@ class Graph:
     labels: tuple[str, ...]
     adjacency: tuple[tuple[int, ...], ...]
     self_loops_dropped: int = field(default=0, compare=False)
+    duplicate_edges_collapsed: int = field(default=0, compare=False)
     degrees: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
@@ -107,7 +112,9 @@ class Graph:
         interned, so a loop-only label never becomes a node; duplicate
         edges in either orientation collapse. The result is not re-checked:
         its labels are unique and its adjacency sorted, symmetric and
-        loop-free by construction. Raises EmptyGraphError if no edge
+        loop-free by construction. The dropped loops and collapsed
+        duplicates are counted in ``self_loops_dropped`` and
+        ``duplicate_edges_collapsed``. Raises EmptyGraphError if no edge
         survives.
         """
         # A new label takes the next id as it is first seen, so the keys
@@ -134,6 +141,9 @@ class Graph:
         object.__setattr__(graph, "adjacency", adjacency)
         object.__setattr__(graph, "self_loops_dropped", dropped)
         object.__setattr__(graph, "degrees", tuple(map(len, adjacency)))
+        object.__setattr__(
+            graph, "duplicate_edges_collapsed", len(ends) // 2 - sum(graph.degrees) // 2
+        )
         return graph
 
 

@@ -1,8 +1,12 @@
 """Influence rankings, entropic-index sweeps, and stability detection.
 
-Scoring every node at one entropic index q yields a ScoreTable; sorting
-descending (ties broken by ascending label) yields the Ranking for that
-q. Sweeping a grid of q values exposes how the ranking evolves, and
+Scoring every node at one entropic index q yields a ScoreTable, its
+scores an ``array('d')`` in node-id order; sorting descending (ties
+broken by ascending label) yields the Ranking for that q. A ranking is
+a permutation of node ids, an ``array('q')``, over the graph's labels
+tuple, which every ranking of that graph shares, so detection, refine
+and Kendall tau compare id orders and never look a label up. Sweeping a
+grid of q values exposes how the ranking evolves, and
 ``detect_threshold`` finds the smallest grid q past which the ranking
 stops changing: the nonextensive threshold of the network.
 """
@@ -15,7 +19,7 @@ from decimal import Decimal, InvalidOperation
 from functools import lru_cache
 from itertools import compress, count
 import math
-from operator import itemgetter
+from typing import Iterable, Sequence
 
 from ._workers import forked_map
 from .entropy import local_structure_entropies
@@ -47,29 +51,97 @@ def label_sort_key(label: str) -> tuple[int, int, str]:
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """Per-node entropy scores at one entropic index."""
+    """Per-node entropy scores at one entropic index.
+
+    ``scores[i]`` is the score of ``labels[i]``; ``score_all`` and
+    ``sweep`` give an ``array('d')``.
+    """
 
     q: float
     labels: tuple[str, ...]
-    scores: tuple[float, ...]
+    scores: Sequence[float]
 
     def __post_init__(self):
         if len(self.labels) != len(self.scores):
             raise ValueError("labels and scores lengths differ")
 
 
-@dataclass(frozen=True)
+def _check_distinct(labels: tuple[str, ...]) -> None:
+    if len(set(labels)) != len(labels):
+        raise ValueError("ranking contains duplicate labels")
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Ranking:
-    """Total influence order over node labels, most influential first."""
+    """Total influence order over node labels, most influential first.
 
-    ordered_labels: tuple[str, ...]
+    ``order`` is an ``array('q')`` permutation of indices into
+    ``labels``, a tuple of distinct labels. ``rank`` and ``sweep`` share
+    the graph's labels among all its rankings, and their orders are
+    permutations by construction. ``Ranking(ordered_labels)`` ranks the
+    labels given in the order given, and is the one constructor that
+    checks them for duplicates. Rankings are equal when they order the
+    same labels alike, however they were built.
+    """
 
-    def __post_init__(self):
-        if len(set(self.ordered_labels)) != len(self.ordered_labels):
-            raise ValueError("ranking contains duplicate labels")
+    labels: tuple[str, ...]
+    order: array
+
+    def __init__(self, ordered_labels: Iterable[str]):
+        labels = tuple(ordered_labels)
+        _check_distinct(labels)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "order", array("q", range(len(labels))))
+
+    @classmethod
+    def _of(cls, labels: tuple[str, ...], order: array) -> Ranking:
+        """A ranking of ``labels`` by ``order``, a permutation of their
+        indices, unchecked."""
+        ranking = object.__new__(cls)
+        object.__setattr__(ranking, "labels", labels)
+        object.__setattr__(ranking, "order", order)
+        return ranking
+
+    @property
+    def ordered_labels(self) -> tuple[str, ...]:
+        """The labels, most influential first."""
+        return tuple(map(self.labels.__getitem__, self.order))
 
     def top(self, k: int) -> tuple[str, ...]:
-        return self.ordered_labels[: max(0, k)]
+        return tuple(map(self.labels.__getitem__, self.order[: max(0, k)]))
+
+    def over(self, labels: tuple[str, ...]) -> Ranking:
+        """This ranking as an order over ``labels``: itself when it already
+        ranks that tuple, else its order re-indexed into it.
+
+        Raises:
+            ValueError: ``labels`` is another label set (the message lists
+                up to the first 10 differing labels).
+        """
+        if self.labels is labels or self.labels == labels:
+            return self
+        index = {label: i for i, label in enumerate(labels)}
+        try:
+            order = array("q", map(index.__getitem__, self.ordered_labels))
+        except KeyError:
+            order = None
+        if order is None or len(order) != len(labels):
+            difference = sorted(set(self.labels) ^ set(labels), key=label_sort_key)
+            raise ValueError(
+                "rankings cover different label sets; differing labels: "
+                + ", ".join(difference[:10])
+            )
+        return Ranking._of(labels, order)
+
+    def __eq__(self, other):
+        if not isinstance(other, Ranking):
+            return NotImplemented
+        if self.labels is other.labels or self.labels == other.labels:
+            return self.order == other.order
+        return self.ordered_labels == other.ordered_labels
+
+    def __hash__(self):
+        return hash(self.ordered_labels)
 
 
 @dataclass(frozen=True)
@@ -128,7 +200,7 @@ def rank(table: ScoreTable) -> Ranking:
     order = sorted(
         _label_order(table.labels), key=table.scores.__getitem__, reverse=True
     )
-    return Ranking(tuple(table.labels[i] for i in order))
+    return Ranking._of(table.labels, array("q", order))
 
 
 def _checked_grid(grid: tuple[float, ...]) -> tuple[float, ...]:
@@ -148,12 +220,13 @@ def sweep(graph: Graph, grid, jobs: int = 1) -> SweepResult:
 
     ``jobs`` > 1 splits the grid points over up to that many processes:
     this one, and workers forked from it once the graph's ego shares are
-    built, so that each inherits them rather than rebuilding them. A
-    worker sends back each of its points' scores, and its ranking as node
-    ids, and this process rebuilds the tables and rankings from them, so
-    the result is the same for every ``jobs``. The default, 1, forks
-    nothing: forking is unsafe in a process that runs threads, so ask for
-    more only where the caller runs none.
+    built, so that each inherits them rather than rebuilding them. Each
+    point comes back as the bytes of its scores and of its ranking's
+    order, which this process wraps in arrays again, so the result is the
+    same for every ``jobs``, and every table and ranking holds
+    ``graph.labels`` itself. The default, 1, forks nothing: forking is
+    unsafe in a process that runs threads, so ask for more only where the
+    caller runs none.
 
     Raises:
         ValueError: a bad grid, or ``jobs`` < 1.
@@ -165,27 +238,21 @@ def sweep(graph: Graph, grid, jobs: int = 1) -> SweepResult:
     labels = graph.labels
     graph._ego_shares  # built here, before the fork, for the workers to inherit
     _label_order(labels)
-    ids = {label: i for i, label in enumerate(labels)}
 
     def point(q: float) -> bytes:
         table = score_all(graph, q)
-        order = [ids[label] for label in rank(table).ordered_labels]
-        return b"".join([array("d", table.scores), array("q", order)])
+        return b"".join([table.scores, rank(table).order])
 
     tables, rankings = [], []
     split = array("d").itemsize * len(labels)  # bytes of the scores
     for q, data in zip(grid, forked_map(point, grid, jobs)):
         view = memoryview(data)
-        tables.append(ScoreTable(q=q, labels=labels, scores=tuple(view[:split].cast("d"))))
-        rankings.append(Ranking(_labels_at(labels, view[split:].cast("q"))))
+        scores, order = array("d"), array("q")
+        scores.frombytes(view[:split])
+        order.frombytes(view[split:])
+        tables.append(ScoreTable(q=q, labels=labels, scores=scores))
+        rankings.append(Ranking._of(labels, order))
     return SweepResult(grid=grid, score_tables=tuple(tables), rankings=tuple(rankings))
-
-
-def _labels_at(labels: tuple[str, ...], ids) -> tuple[str, ...]:
-    """``labels[i]`` for each i in ids, in a tuple allocated at its final
-    size: one grown from an iterator is reallocated as it grows, which left
-    the heap of a 43-point sweep of 10k nodes about 1 MB larger."""
-    return itemgetter(*ids)(labels) if len(ids) > 1 else tuple(labels[i] for i in ids)
 
 
 def _checked_relaxed_tau(relaxed_tau: float) -> float:
@@ -223,16 +290,16 @@ def detect_threshold(
         while start > 0 and rankings[start - 1] == rankings[start]:
             start -= 1
     else:
-        numbering = _numbering(rankings[last])
-        limit = _discordant_limit(len(numbering), _checked_relaxed_tau(relaxed_tau))
-        ids = _ids(rankings[last], numbering)
+        labels = rankings[last].labels
+        limit = _discordant_limit(len(labels), _checked_relaxed_tau(relaxed_tau))
+        order = rankings[last].order
         positions = []  # of rankings[start:]
         upper = []  # bounds on each position's count from rankings[start]
         while start > 0:
-            positions.append(_positions(ids))
+            positions.append(_positions(order))
             upper.append(0)
-            ids = _ids(rankings[start - 1], numbering)
-            if not _within_limit(ids, positions, upper, limit):
+            order = rankings[start - 1].over(labels).order
+            if not _within_limit(order, positions, upper, limit):
                 break
             start -= 1
     suffix_length = len(rankings) - start
@@ -246,26 +313,26 @@ def detect_threshold(
 
 
 def _within_limit(
-    ids: list[int], positions: list[list[int]], upper: list[int], limit: int
+    order: array, positions: list[list[int]], upper: list[int], limit: int
 ) -> bool:
-    """Whether ranking ``ids`` is within ``limit`` discordant pairs of every
-    ranking in ``positions``.
+    """Whether ranking ``order`` is within ``limit`` discordant pairs of
+    every ranking in ``positions``.
 
     On entry ``upper[i]`` bounds the count from the last ranking in
     ``positions`` to ranking i. The triangle inequality bounds the count
-    from ``ids`` by that plus the step between the two, so only rankings
+    from ``order`` by that plus the step between the two, so only rankings
     whose bound exceeds the limit are counted exactly; on True, ``upper``
-    bounds the counts from ``ids``. A lower bound never decides alone:
-    every count on entry is within the limit, so the count from ``ids``
+    bounds the counts from ``order``. A lower bound never decides alone:
+    every count on entry is within the limit, so the count from ``order``
     can exceed it by the triangle inequality only when the step does.
     """
-    step = _discordant_pairs([positions[-1][i] for i in ids])
+    step = _discordant_pairs([positions[-1][i] for i in order])
     if step > limit:
         return False
     for i, position in enumerate(positions):
         upper[i] += step
         if upper[i] > limit:
-            upper[i] = _discordant_pairs([position[j] for j in ids])
+            upper[i] = _discordant_pairs([position[j] for j in order])
             if upper[i] > limit:
                 return False
     return True
@@ -290,10 +357,9 @@ def refine_threshold(
     if index == 0:
         return report.p_value
     if relaxed_tau is not None:
-        # Numbered by the stable order, a candidate's ids are each label's
-        # place in the stable ranking.
-        numbering = _numbering(report.stable_ranking)
-        limit = _discordant_limit(len(numbering), _checked_relaxed_tau(relaxed_tau))
+        labels = report.stable_ranking.labels
+        position = _positions(report.stable_ranking.order)
+        limit = _discordant_limit(len(labels), _checked_relaxed_tau(relaxed_tau))
     lo, hi = result.grid[index - 1], result.grid[index]
     while hi - lo > REFINE_RESOLUTION:
         mid = (lo + hi) / 2.0
@@ -301,7 +367,8 @@ def refine_threshold(
         if relaxed_tau is None:
             stable = candidate == report.stable_ranking
         else:
-            stable = _discordant_pairs(_ids(candidate, numbering)) <= limit
+            order = candidate.over(labels).order
+            stable = _discordant_pairs([position[i] for i in order]) <= limit
         if stable:
             hi = mid
         else:
@@ -361,27 +428,20 @@ def _discordant_pairs(order: list[int]) -> int:
     return discordant
 
 
-def _numbering(ranking: Ranking) -> dict[str, int]:
-    return {label: i for i, label in enumerate(ranking.ordered_labels)}
+def _positions(order: Sequence[int]) -> list[int]:
+    """Inverse permutation: the place of each id in ``order``."""
+    return sorted(range(len(order)), key=order.__getitem__)
 
 
-def _ids(ranking: Ranking, numbering: dict[str, int]) -> list[int]:
-    """The ranking's labels, most influential first, as ids under numbering."""
-    return list(map(numbering.__getitem__, ranking.ordered_labels))
-
-
-def _positions(ids: list[int]) -> list[int]:
-    """Inverse permutation: the place of each label id in its ranking."""
-    return sorted(range(len(ids)), key=ids.__getitem__)
-
-
-def _kendall_tau(a: Ranking, b: Ranking) -> float:
-    # Numbered by b's order, a's ids are each label's place in b.
-    return _tau(_ids(a, _numbering(b)))
+def _kendall_tau(a: Sequence[int], b: Sequence[int]) -> float:
+    """Kendall tau between two orders of the same ids."""
+    place = _positions(b)
+    return _tau([place[i] for i in a])
 
 
 def _tau(order: list[int]) -> float:
-    """Kendall tau of rankings a and b, given each of a's labels' place in b.
+    """Kendall tau of orders a and b, given the place in b of each of a's
+    ids in turn.
 
     The discordant-pair count is an exact integer; only tau-b's float
     expression rounds.
@@ -431,22 +491,18 @@ def compare_rankings(a: Ranking, b: Ranking) -> RankingComparison:
             message lists up to the first 10 differing labels), or both
             are empty.
     """
-    set_a, set_b = set(a.ordered_labels), set(b.ordered_labels)
-    if set_a != set_b:
-        difference = sorted(set_a ^ set_b, key=label_sort_key)[:10]
-        raise ValueError(
-            "rankings cover different label sets; differing labels: "
-            + ", ".join(difference)
-        )
-    n = len(a.ordered_labels)
+    b = b.over(a.labels)
+    n = len(a.labels)
     if n == 0:
         raise ValueError("rankings are empty; there is nothing to compare")
     overlap = {}
     for k in (5, 10):
         capped = min(k, n)
-        shared = set(a.top(capped)) & set(b.top(capped))
+        shared = set(a.order[:capped]) & set(b.order[:capped])
         overlap[k] = len(shared) / capped
-    return RankingComparison(kendall_tau=_kendall_tau(a, b), top_k_overlap=overlap)
+    return RankingComparison(
+        kendall_tau=_kendall_tau(a.order, b.order), top_k_overlap=overlap
+    )
 
 
 def parse_grid(spec: str) -> tuple[float, ...]:

@@ -29,6 +29,14 @@ CASES = {
             "entropy.share", "ranking.detect_exact", "ranking.compare",
         },
     ),
+    "sweep": (
+        ["sweep", "--input", "{karate}"],
+        {
+            "ranking.sweep", "entropy.score", "ranking.rank", "ranking.detect_exact",
+            "ranking.detect_relaxed", "ranking.compare", "ranking.refine",
+            "graph.validate", "entropy.share",
+        },
+    ),
     "rank": (
         ["rank", "--q", "0", "--input", "{karate}"],
         {"graph.load", "entropy.score", "ranking.rank", "graph.validate", "entropy.share"},

@@ -1,4 +1,5 @@
 """Tsallis entropy and per-node structure entropy."""
+from array import array
 import math
 import random
 
@@ -140,7 +141,7 @@ def test_score_all_equals_node_by_node_bitwise(karate, q):
     coinciding = load_edge_list("a b\nb c\nx y\nx z\ny y1\ny y2\nz z1\nz z2\n")
     for g in (karate, with_isolated, coinciding):
         expected = tuple(local_structure_entropy(g, i, q) for i in range(g.node_count))
-        assert score_all(g, q).scores == expected
+        assert score_all(g, q).scores == array("d", expected)
 
         values, index, bounds = ego_share_vector(g)
         assert len(set(values)) == len(values)

@@ -43,6 +43,16 @@ def test_duplicate_edges_collapse_in_either_orientation():
     g = load_edge_list("a b\nb a\na b\n")
     assert g.edge_count == 1
     assert g.degrees == (1, 1)
+    assert g.duplicate_edges_collapsed == 2
+
+
+def test_duplicate_edges_counted_apart_from_self_loops():
+    # A repeated self-loop is a dropped loop each time, never a duplicate.
+    g = load_edge_list("a a\na b\nb a\na a\nb c\nc b\nb c\nc c\n")
+    assert (g.self_loops_dropped, g.duplicate_edges_collapsed) == (3, 3)
+    assert g.edge_count == 2
+    assert g == load_edge_list("a b\nb c\n")
+    assert Graph(labels=g.labels, adjacency=g.adjacency).duplicate_edges_collapsed == 0
 
 
 def test_self_loops_dropped_and_counted():
@@ -125,6 +135,7 @@ def test_loaded_graph_passes_checked_constructor():
         assert checked == g
         assert checked.degrees == g.degrees
         assert g.self_loops_dropped == len(loops)
+        assert g.duplicate_edges_collapsed == len(repeats) + len(repeats[::2])
 
 
 def test_loaded_graph_is_not_rechecked(monkeypatch):

@@ -1,4 +1,5 @@
 """Rankings, grid sweeps, threshold detection, and comparisons."""
+from array import array
 import itertools
 import math
 import os
@@ -17,6 +18,7 @@ from lsentropy import (
     compare_rankings,
     default_grid,
     detect_threshold,
+    karate_edges_path,
     label_sort_key,
     load_edge_list,
     parse_grid,
@@ -26,6 +28,7 @@ from lsentropy import (
     sweep,
     three_states,
 )
+from lsentropy.cli import main
 from lsentropy.ranking import (
     _BLOCK,
     _discordant_limit,
@@ -35,16 +38,19 @@ from lsentropy.ranking import (
 )
 
 
-def _fake_sweep(grid, orders):
+def _fake_sweep(grid, orders, shared=True):
+    """A sweep ranking ``orders``; with ``shared``, every ranking orders one
+    labels tuple, as ``sweep``'s do, and otherwise each its own."""
     labels = tuple(sorted({lab for order in orders for lab in order}))
     tables = tuple(
         ScoreTable(q=float(q), labels=labels, scores=(0.0,) * len(labels))
         for q in grid
     )
+    rankings = tuple(Ranking(tuple(order)) for order in orders)
+    if shared:
+        rankings = tuple(ranking.over(labels) for ranking in rankings)
     return SweepResult(
-        grid=tuple(float(q) for q in grid),
-        score_tables=tables,
-        rankings=tuple(Ranking(tuple(order)) for order in orders),
+        grid=tuple(float(q) for q in grid), score_tables=tables, rankings=rankings
     )
 
 
@@ -79,9 +85,59 @@ def test_ranking_rejects_duplicates():
         Ranking(("a", "a"))
 
 
+def test_rankings_equal_however_built(karate):
+    ranked = rank(score_all(karate, 0.0))
+    built = Ranking(ranked.ordered_labels)
+    assert built.labels is not ranked.labels
+    assert ranked == built and built == ranked
+    assert hash(ranked) == hash(built)
+    assert ranked.top(5) == built.top(5) == ranked.ordered_labels[:5]
+    assert ranked != Ranking(ranked.ordered_labels[::-1])
+    assert built.over(karate.labels) == ranked
+    assert built.over(karate.labels).order == ranked.order
+    assert Ranking(("a", "b")).over(("b", "a")) == Ranking(("a", "b"))
+    assert Ranking(("a", "b")) != Ranking(("b", "a"))
+    assert Ranking(("a", "b")) != Ranking(("a", "c"))
+    assert Ranking(("a", "b")) != ("a", "b")
+    for labels in (("a", "c"), ("a",), ("a", "b", "c")):
+        with pytest.raises(ValueError, match="different label sets"):
+            Ranking(("a", "b")).over(labels)
+
+
+def test_results_keep_id_orders_over_the_graph_labels(karate, monkeypatch, tmp_path):
+    """No ranking or table of sweep (any jobs), rank, detection, refine or
+    the table and record emitters goes through a label round trip: each
+    holds the graph's labels tuple itself, and the duplicate check of the
+    label-taking Ranking constructor is never reached."""
+    def refuse(labels):
+        raise AssertionError("duplicate check reached")
+
+    monkeypatch.setattr(ranking_module, "_check_distinct", refuse)
+    grid = (0.0, 1.0, 1.5, 2.0, 9.0, 10.0)
+    for jobs in (1, 2, 4):
+        result = sweep(karate, grid, jobs=jobs)
+        tables = (*result.score_tables, score_all(karate, 0.5))
+        rankings = (*result.rankings, rank(tables[-1]))
+        for table in tables:
+            assert table.labels is karate.labels
+            assert isinstance(table.scores, array) and table.scores.typecode == "d"
+        for ranking in rankings:
+            assert ranking.labels is karate.labels
+            assert isinstance(ranking.order, array) and ranking.order.typecode == "q"
+        for relaxed_tau in (None, 0.05):
+            report = detect_threshold(result, relaxed_tau=relaxed_tau)
+            assert report.stable_ranking.labels is karate.labels
+            assert refine_threshold(karate, result, report, relaxed_tau) is not None
+    for command in ("rank --q 1", "sweep --grid 0,1,2", "threshold --refine",
+                    "threshold --refine --relaxed-tau 0.05", "states"):
+        for form in ("csv", "json"):
+            argv = [*command.split(), "--input", str(karate_edges_path()), "--format", form]
+            assert main([*argv, "--output", str(tmp_path / "out")]) == 0
+
+
 def test_score_all_matches_pointwise(karate):
     table = score_all(karate, 0.0)
-    assert table.scores == tuple(float(d) for d in karate.degrees)
+    assert table.scores == array("d", karate.degrees)
 
 
 def test_triangle_scores_identical_at_any_q():
@@ -146,7 +202,7 @@ def test_sweep_of_graphs_with_fewer_than_two_nodes():
         graph = Graph(labels=labels, adjacency=((),) * len(labels))
         result = sweep(graph, (0.0, 1.0), jobs=2)
         assert result.rankings == (Ranking(labels),) * 2
-        assert [t.scores for t in result.score_tables] == [(0.0,) * len(labels)] * 2
+        assert [tuple(t.scores) for t in result.score_tables] == [(0.0,) * len(labels)] * 2
 
 
 def test_sweep_rejects_jobs_below_one(karate):
@@ -231,9 +287,10 @@ def _relaxed_all_pairs(result, relaxed_tau):
     """The relaxed rule with every suffix pair put through tau's float."""
     floor = 1.0 - relaxed_tau
     rankings = result.rankings
+    orders = [ranking.over(rankings[-1].labels).order for ranking in rankings]
     start = len(rankings) - 1
     while start > 0 and all(
-        _kendall_tau(rankings[start - 1], later) >= floor for later in rankings[start:]
+        _kendall_tau(orders[start - 1], later) >= floor for later in orders[start:]
     ):
         start -= 1
     suffix_length = len(rankings) - start
@@ -271,9 +328,10 @@ def test_relaxed_detection_equals_all_pairs_rule(relaxed_tau):
     for n in range(2, 61):
         for _ in range(3):
             orders = _drifting_orders(rng, n, rng.randint(2, 16))
-            result = _fake_sweep(range(len(orders)), orders)
-            report = detect_threshold(result, relaxed_tau=relaxed_tau)
-            assert report == _relaxed_all_pairs(result, relaxed_tau), (n, orders)
+            for shared in (True, False):
+                result = _fake_sweep(range(len(orders)), orders, shared)
+                report = detect_threshold(result, relaxed_tau=relaxed_tau)
+                assert report == _relaxed_all_pairs(result, relaxed_tau), (n, orders)
             suffix_lengths.add(report.suffix_length)
     assert len(suffix_lengths) >= 6
 
@@ -409,7 +467,8 @@ def test_refine_relaxed_accepts_exactly_the_tau_floor(monkeypatch):
     at_limit, over = (
         Ranking(tuple(str(i) for i in _with_inversions(30, d))) for d in (2, 3)
     )
-    assert _kendall_tau(at_limit, stable) >= 1.0 - 0.01 > _kendall_tau(over, stable)
+    tau = [_kendall_tau(r.over(stable.labels).order, stable.order) for r in (at_limit, over)]
+    assert tau[0] >= 1.0 - 0.01 > tau[1]
     orders = [tuple(reversed(stable.ordered_labels))] + [stable.ordered_labels] * 2
     result = _fake_sweep((0.0, 1.0, 2.0), orders)
     report = detect_threshold(result, relaxed_tau=0.01)
