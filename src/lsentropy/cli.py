@@ -19,10 +19,10 @@ decimals; JSON gives one object per row at full float precision. A
 record (``threshold``, ``states``, ``compare``) carries its JSON
 ``fields`` and its CSV ``header`` and ``rows`` side by side, because
 the two formats order, name and spell them differently. CSV output is
-UTF-8 with LF line endings and a header row. JSON output also echoes
-the arguments listed next to the subcommand in ``_DISPATCH``; the echo
-excludes the output path and --jobs, which cannot affect the numbers:
-identical (input, parameters) must produce byte-identical output.
+UTF-8 with LF line endings and a header row. JSON output echoes as
+"config" the arguments each subparser's ``echo`` default names, never
+the output path or --jobs, which cannot affect the numbers: identical
+(input, parameters) must produce byte-identical output.
 ``compare`` re-indexes its second ranking into the first's labels once,
 as it loads them, so tau and the overlaps compare id orders.
 
@@ -46,6 +46,7 @@ from .graph import EdgeListParseError, EmptyGraphError, Graph, load_edge_list
 from .ranking import (
     DEFAULT_GRID_SPEC,
     MAX_RELAXED_TAU,
+    REFINE_RESOLUTION,
     Ranking,
     compare_rankings,
     detect_threshold,
@@ -155,15 +156,17 @@ def cmd_rank(args: argparse.Namespace) -> Result:
 
 
 def cmd_sweep(args: argparse.Namespace) -> Result:
+    grid = parse_grid(args.grid)
     graph = _load_graph(args.input)
-    result = sweep(graph, parse_grid(args.grid), jobs=args.jobs)
+    result = sweep(graph, grid, jobs=args.jobs)
     rows = (graph, result.score_tables, result.rankings)
     return None, ("q", "label", "entropy", "rank"), rows
 
 
 def cmd_threshold(args: argparse.Namespace) -> Result:
+    grid = parse_grid(args.grid)
     graph = _load_graph(args.input)
-    result = sweep(graph, parse_grid(args.grid), jobs=args.jobs)
+    result = sweep(graph, grid, jobs=args.jobs)
     report = detect_threshold(result, relaxed_tau=args.relaxed_tau)
     top10 = report.stable_ranking.top(10) if report.stable_ranking else None
     fields = {
@@ -182,10 +185,9 @@ def cmd_threshold(args: argparse.Namespace) -> Result:
 
 
 def cmd_states(args: argparse.Namespace) -> Result:
+    grid = parse_grid(args.grid)
     graph = _load_graph(args.input)
-    states = three_states(
-        graph, parse_grid(args.grid), relaxed_tau=args.relaxed_tau, jobs=args.jobs
-    )
+    states = three_states(graph, grid, relaxed_tau=args.relaxed_tau, jobs=args.jobs)
     fields, rows = {}, []
     for state, row_name in _STATE_ROW_NAMES.items():
         order = getattr(states, f"order_{state}")
@@ -237,16 +239,6 @@ def cmd_compare(args: argparse.Namespace) -> Result:
     return fields, tuple(fields), [tuple(fields.values())]
 
 
-# Each subcommand, with the arguments its JSON output echoes as "config".
-_DISPATCH = {
-    "rank": (cmd_rank, ("input", "format", "q")),
-    "sweep": (cmd_sweep, ("input", "format", "grid")),
-    "threshold": (cmd_threshold, ("input", "format", "grid", "refine", "relaxed_tau")),
-    "states": (cmd_states, ("input", "format", "grid", "relaxed_tau")),
-    "compare": (cmd_compare, ("input_a", "input_b", "state_a", "state_b", "format")),
-}
-
-
 def _emit(args: argparse.Namespace, fields, header, rows, handle: IO[str]) -> None:
     """Write one subcommand's result to ``handle`` as CSV or JSON, by the
     table and record rules in the module docstring."""
@@ -260,7 +252,7 @@ def _emit(args: argparse.Namespace, fields, header, rows, handle: IO[str]) -> No
                 for position, cells in enumerate(zip(*block), start=1)
             ]}
         config = {"command": args.command}
-        config.update((name, getattr(args, name)) for name in _DISPATCH[args.command][1])
+        config.update((name, getattr(args, name)) for name in args.echo)
         payload = {"command": args.command, "config": config, **fields}
         handle.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
         return
@@ -340,32 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    p_rank = sub.add_parser(
-        "rank",
-        parents=[input_opts, output_opts],
-        help="score and rank every node at one entropic index",
-    )
-    p_rank.add_argument(
-        "--q", type=float, required=True, metavar="REAL", help="entropic index, >= 0"
-    )
-
-    sub.add_parser(
-        "sweep",
-        parents=[input_opts, grid_opts, output_opts],
-        help="score and rank every node at each grid point",
-    )
-
-    p_threshold = sub.add_parser(
-        "threshold",
-        parents=[input_opts, grid_opts, output_opts],
-        help="detect the entropic index where the ranking stabilizes",
-    )
-    p_threshold.add_argument(
-        "--refine",
-        action="store_true",
-        help="bisect below the detected grid point to 0.1 resolution",
-    )
-    p_threshold.add_argument(
+    relaxed_opts = argparse.ArgumentParser(add_help=False)
+    relaxed_opts.add_argument(
         "--relaxed-tau",
         type=float,
         default=None,
@@ -376,41 +344,61 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    p_states = sub.add_parser(
-        "states",
+    p_rank = sub.add_parser(
+        "rank",
+        parents=[input_opts, output_opts],
+        help="score and rank every node at one entropic index",
+    )
+    p_rank.add_argument(
+        "--q", type=float, required=True, metavar="REAL", help="entropic index, >= 0"
+    )
+    p_rank.set_defaults(handler=cmd_rank, echo=("input", "format", "q"))
+
+    sub.add_parser(
+        "sweep",
         parents=[input_opts, grid_opts, output_opts],
+        help="score and rank every node at each grid point",
+    ).set_defaults(handler=cmd_sweep, echo=("input", "format", "grid"))
+
+    p_threshold = sub.add_parser(
+        "threshold",
+        parents=[input_opts, grid_opts, output_opts, relaxed_opts],
+        help="detect the entropic index where the ranking stabilizes",
+    )
+    p_threshold.add_argument(
+        "--refine",
+        action="store_true",
+        help=f"bisect below the detected grid point to {REFINE_RESOLUTION} resolution",
+    )
+    p_threshold.set_defaults(
+        handler=cmd_threshold, echo=("input", "format", "grid", "refine", "relaxed_tau")
+    )
+
+    sub.add_parser(
+        "states",
+        parents=[input_opts, grid_opts, output_opts, relaxed_opts],
         help="emit the q=0, q=1, and stable orderings",
-    )
-    p_states.add_argument(
-        "--relaxed-tau",
-        type=float,
-        default=None,
-        metavar="T",
-        help="stability tolerance passed through to threshold detection",
-    )
+    ).set_defaults(handler=cmd_states, echo=("input", "format", "grid", "relaxed_tau"))
 
     p_compare = sub.add_parser(
         "compare",
         parents=[output_opts],
         help="measure agreement between two ranking CSV files",
     )
-    p_compare.add_argument(
-        "input_a", metavar="a.csv", help="rank or states CSV emitted by this tool"
-    )
-    p_compare.add_argument(
-        "input_b", metavar="b.csv", help="rank or states CSV emitted by this tool"
-    )
-    p_compare.add_argument(
-        "--state-a",
-        choices=("q0", "q1", "stable"),
-        default="q0",
-        help="row to take when a.csv is a states file (default: q0)",
-    )
-    p_compare.add_argument(
-        "--state-b",
-        choices=("q0", "q1", "stable"),
-        default="q0",
-        help="row to take when b.csv is a states file (default: q0)",
+    for side in "ab":
+        p_compare.add_argument(
+            f"input_{side}",
+            metavar=f"{side}.csv",
+            help="rank or states CSV emitted by this tool",
+        )
+        p_compare.add_argument(
+            f"--state-{side}",
+            choices=tuple(_STATE_ROW_NAMES),
+            default="q0",
+            help=f"row to take when {side}.csv is a states file (default: q0)",
+        )
+    p_compare.set_defaults(
+        handler=cmd_compare, echo=("input_a", "input_b", "state_a", "state_b", "format")
     )
     return parser
 
@@ -419,7 +407,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_args(args)
-        result = _DISPATCH[args.command][0](args)
+        result = args.handler(args)
         if args.output is None:
             _emit(args, *result, sys.stdout)
         else:

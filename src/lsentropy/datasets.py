@@ -6,7 +6,7 @@ by the user as edge-list files.
 """
 from __future__ import annotations
 
-from importlib.resources import as_file, files
+from importlib.resources import files
 
 from .graph import Graph, load_edge_list
 
@@ -18,5 +18,4 @@ def karate_edges_path():
 
 def load_karate() -> Graph:
     """Load the karate club network."""
-    with as_file(karate_edges_path()) as path:
-        return load_edge_list(path.read_text(encoding="utf-8"))
+    return load_edge_list(karate_edges_path().read_text(encoding="utf-8"))

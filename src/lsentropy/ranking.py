@@ -508,9 +508,9 @@ def compare_rankings(a: Ranking, b: Ranking) -> RankingComparison:
 def parse_grid(spec: str) -> tuple[float, ...]:
     """Parse a grid spec: comma-separated values and/or a:b:step ranges.
 
-    Segments are decimal-exact (``0.1`` steps do not drift); b is
-    included when it lands on the step. The combined grid must be
-    strictly increasing and non-negative.
+    Segments are decimal-exact (``0.1`` steps do not drift); a, b and
+    step must be finite, and b is included when it lands on the step.
+    The combined grid must be strictly increasing and non-negative.
     """
     points: list[float] = []
     for segment in spec.split(","):
@@ -523,6 +523,8 @@ def parse_grid(spec: str) -> tuple[float, ...]:
             if len(parts) != 3:
                 raise ValueError
             start, stop, step = (Decimal(p) for p in parts)
+            if not (start.is_finite() and stop.is_finite() and step.is_finite()):
+                raise ValueError
         except (InvalidOperation, ValueError):
             raise ValueError(
                 f"bad grid segment {segment!r}; expected a value or start:stop:step"

@@ -16,8 +16,11 @@ from lsentropy import (
     default_grid,
     karate_edges_path,
     local_structure_entropy,
+    parse_grid,
     rank,
     score_all,
+    sweep,
+    three_states,
 )
 from lsentropy import cli, ranking
 from lsentropy.cli import main
@@ -135,6 +138,22 @@ def test_sweep_rejects_bad_grid(capsys, triangle_path):
         capsys, "sweep", "--input", triangle_path, "--grid", "2,1"
     )
     assert code == 1 and out == "" and "error:" in err
+
+
+def test_sweep_rejects_non_finite_grid_bound(capsys, triangle_path):
+    code, out, err = _run(
+        capsys, "sweep", "--input", triangle_path, "--grid", "0:nan:1"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad grid segment '0:nan:1'")
+
+
+@pytest.mark.parametrize("command", ["sweep", "threshold", "states"])
+def test_bad_grid_reported_before_input_is_read(capsys, tmp_path, command):
+    missing = str(tmp_path / "absent.edges")
+    code, out, err = _run(capsys, command, "--input", missing, "--grid", "0:1:-1")
+    assert code == 1 and out == ""
+    assert err == "error: grid step must be positive in '0:1:-1'\n"
 
 
 def test_threshold_complete_graph_stable_from_zero(capsys, k5_path):
@@ -255,6 +274,26 @@ def test_states_json_payload(capsys, karate_path, karate):
     assert payload["order_q0"][:5] == ["34", "1", "33", "3", "2"]
     assert sorted(payload["order_q1"]) == sorted(karate.labels)
     assert isinstance(payload["order_stable"], list)
+
+
+def test_states_relaxed_tau_finds_stable_row(capsys, karate_path, karate):
+    # On this grid exact detection finds no stable suffix; T = 0.05 does.
+    grid = "0:8:0.5"
+    argv = ("states", "--input", karate_path, "--grid", grid)
+    _, exact, _ = _run(capsys, *argv)
+    assert _rows(exact)[3] == ["Order_stable", "none"]
+    code, out, err = _run(capsys, *argv, "--relaxed-tau", "0.05")
+    assert code == 0 and err == ""
+    name, cell = _rows(out)[3]
+    stable = next(csv.reader([cell]))
+    assert name == "Order_stable"
+    assert stable == list(sweep(karate, parse_grid(grid)).rankings[-1].ordered_labels)
+    states = three_states(karate, parse_grid(grid), relaxed_tau=0.05)
+    assert list(states.order_stable.ordered_labels) == stable
+    _, out, _ = _run(capsys, *argv, "--relaxed-tau", "0.05", "--format", "json")
+    payload = json.loads(out)
+    assert payload["config"]["relaxed_tau"] == 0.05
+    assert payload["order_stable"] == stable
 
 
 def test_compare_rank_file_with_itself(capsys, karate_path, tmp_path):

@@ -4,9 +4,13 @@ import itertools
 import math
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lsentropy
 from lsentropy import ranking as ranking_module
 from lsentropy import (
     DEFAULT_GRID_SPEC,
@@ -612,3 +616,32 @@ def test_parse_grid_rejects_malformed_specs():
     for bad in ("", "abc", "1:2", "1:2:0", "1:2:-1", "2,1", "1,1", "0:1:0.5:2"):
         with pytest.raises(ValueError):
             parse_grid(bad)
+    # non-finite range bounds (the infinite ranges that never end are run
+    # in a capped child below)
+    for bad in ("0:nan:1", "nan:1:1", "0:1:nan", "0:1:inf"):
+        with pytest.raises(ValueError, match="bad grid segment"):
+            parse_grid(bad)
+
+
+@pytest.mark.parametrize("spec", ["0:inf:1", "-inf:1:1"])
+def test_parse_grid_rejects_infinite_range_promptly(spec):
+    # A range that never reaches its stop must be refused, not walked: run
+    # it in a child with a time limit and a 1 GB address-space cap, so that
+    # a loop that never ends cannot exhaust memory.
+    code = (
+        "import resource; "
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from lsentropy import parse_grid\n"
+        f"try:\n    parse_grid({spec!r})\n"
+        "except ValueError as exc:\n    print(exc)"
+    )
+    src = str(Path(lsentropy.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"bad grid segment {spec!r}" in proc.stdout
