@@ -29,6 +29,12 @@ as it loads them, so tau and the overlaps compare id orders.
 ``--jobs`` splits a grid command's q points, and the table CSV's blocks,
 over that many processes forked from this one (``_workers.forked_map``);
 it defaults to, and is capped at, the CPUs this process may use.
+
+``sweep`` and ``states`` score every grid point. ``threshold`` scores
+the grid from its top down, in blocks of about 2 * jobs points, as
+detection reads them: past the threshold the ranking no longer changes,
+so detection reads only the stable suffix and the point below it, and
+scoring stops with the block that holds that point.
 """
 from __future__ import annotations
 
@@ -38,7 +44,8 @@ import json
 import math
 import os
 import sys
-from itertools import repeat
+from collections.abc import Sequence
+from itertools import chain, repeat
 from typing import IO, Callable, Iterable, Iterator
 
 from ._workers import forked_map
@@ -48,6 +55,7 @@ from .ranking import (
     MAX_RELAXED_TAU,
     REFINE_RESOLUTION,
     Ranking,
+    SweepResult,
     compare_rankings,
     detect_threshold,
     parse_grid,
@@ -163,10 +171,43 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
     return None, ("q", "label", "entropy", "rank"), rows
 
 
+class _RankedFromTop(Sequence):
+    """The rankings of ``graph`` at each point of ``grid``, each scored on
+    first use, from the top of the grid down.
+
+    Reading point k scores every block from the top down to k's: blocks
+    of 2 * jobs points, each one ``sweep`` over ``jobs`` processes, of
+    which only the rankings are kept. Where the grid's length would leave
+    one point for the bottom block, the top block takes it instead, so
+    reading the top m >= 2 points scores fewer than m + 2 * jobs.
+    """
+
+    def __init__(self, graph: Graph, grid: tuple[float, ...], jobs: int):
+        self._graph, self._grid, self._jobs = graph, grid, jobs
+        self._rankings: list[Ranking | None] = [None] * len(grid)
+        self._scored_from = len(grid)  # the lowest scored point
+        size = 2 * jobs
+        top = len(grid) - size - (len(grid) % size == 1)
+        self._block_starts = chain(range(top, 0, -size), [0])
+
+    def __len__(self) -> int:
+        return len(self._grid)
+
+    def __getitem__(self, k: int) -> Ranking:
+        k = range(len(self._grid))[k]  # IndexError out of range, like a tuple's
+        while k < self._scored_from:
+            lo, hi = next(self._block_starts), self._scored_from
+            block = sweep(self._graph, self._grid[lo:hi], jobs=self._jobs)
+            self._rankings[lo:hi] = block.rankings
+            self._scored_from = lo
+        return self._rankings[k]
+
+
 def cmd_threshold(args: argparse.Namespace) -> Result:
     grid = parse_grid(args.grid)
     graph = _load_graph(args.input)
-    result = sweep(graph, grid, jobs=args.jobs)
+    rankings = _RankedFromTop(graph, grid, args.jobs)
+    result = SweepResult(grid=grid, score_tables=(), rankings=rankings)
     report = detect_threshold(result, relaxed_tau=args.relaxed_tau)
     top10 = report.stable_ranking.top(10) if report.stable_ranking else None
     fields = {

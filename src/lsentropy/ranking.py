@@ -15,9 +15,9 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import ROUND_FLOOR, Decimal, InvalidOperation, Overflow, localcontext
 from functools import lru_cache
-from itertools import compress, count
+from itertools import accumulate, compress, count, repeat
 import math
 from typing import Iterable, Sequence
 
@@ -34,6 +34,9 @@ MAX_RELAXED_TAU = 0.05
 
 # Width in q below which refine_threshold stops bisecting.
 REFINE_RESOLUTION = 0.1
+
+# Most points parse_grid accepts in one grid.
+MAX_GRID_POINTS = 10**6
 
 # Entries per sorted run that _discordant_pairs builds by insertion
 # before it merges runs pairwise.
@@ -146,11 +149,16 @@ class Ranking:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Score tables and rankings for each point of a q grid."""
+    """Score tables and rankings for each point of a q grid.
+
+    ``sweep`` gives tuples of both. Detection and refine read only
+    ``grid`` and ``rankings``, so any sequence of rankings will do there,
+    one that scores its points on first use included.
+    """
 
     grid: tuple[float, ...]
-    score_tables: tuple[ScoreTable, ...]
-    rankings: tuple[Ranking, ...]
+    score_tables: Sequence[ScoreTable]
+    rankings: Sequence[Ranking]
 
 
 @dataclass(frozen=True)
@@ -510,19 +518,22 @@ def parse_grid(spec: str) -> tuple[float, ...]:
 
     Segments are decimal-exact (``0.1`` steps do not drift); a, b and
     step must be finite, and b is included when it lands on the step.
-    The combined grid must be strictly increasing and non-negative.
+    The combined grid must be strictly increasing and non-negative, and
+    hold at most MAX_GRID_POINTS points, a bound checked on counts
+    computed before any range is expanded.
     """
-    points: list[float] = []
+    segments = []
     for segment in spec.split(","):
         segment = segment.strip()
         parts = segment.split(":")
         try:
             if len(parts) == 1:
-                points.append(float(Decimal(parts[0])))
-                continue
-            if len(parts) != 3:
+                start = stop = Decimal(parts[0])
+                step = Decimal(1)
+            elif len(parts) == 3:
+                start, stop, step = (Decimal(p) for p in parts)
+            else:
                 raise ValueError
-            start, stop, step = (Decimal(p) for p in parts)
             if not (start.is_finite() and stop.is_finite() and step.is_finite()):
                 raise ValueError
         except (InvalidOperation, ValueError):
@@ -531,10 +542,26 @@ def parse_grid(spec: str) -> tuple[float, ...]:
             ) from None
         if step <= 0:
             raise ValueError(f"grid step must be positive in {segment!r}")
-        value = start
-        while value <= stop:
-            points.append(float(value))
-            value += step
+        segments.append((start, stop, step))
+    with localcontext() as context:
+        context.traps[Overflow] = False  # a count past the context reads Infinity
+        lengths = [
+            max(0, ((stop - start) / step).to_integral_value(ROUND_FLOOR) + 1)
+            for start, stop, step in segments
+        ]
+        total = sum(lengths)
+    if total > MAX_GRID_POINTS:
+        # Counts are exact below the context's 28 digits.
+        shown = total if total < 10**28 else "over 10**28"
+        raise ValueError(
+            f"q grid would hold {shown} points; at most {MAX_GRID_POINTS} are allowed"
+        )
+    points: list[float] = []
+    for (start, stop, step), length in zip(segments, lengths):
+        values = accumulate(repeat(step, int(length) - 1), initial=start)
+        # The test drops an empty range's start, and a last point past
+        # stop where the count's division rounded up.
+        points.extend(float(value) for value in values if value <= stop)
     return _checked_grid(tuple(points))
 
 

@@ -156,6 +156,17 @@ def test_bad_grid_reported_before_input_is_read(capsys, tmp_path, command):
     assert err == "error: grid step must be positive in '0:1:-1'\n"
 
 
+@pytest.mark.parametrize("command", ["sweep", "threshold", "states"])
+def test_oversized_grid_reported_before_input_is_read(capsys, tmp_path, command):
+    missing = str(tmp_path / "absent.edges")
+    grid = "0:1000000:1,2000000"  # one point per segment past MAX_GRID_POINTS
+    code, out, err = _run(capsys, command, "--input", missing, "--grid", grid)
+    assert code == 1 and out == ""
+    assert err == (
+        "error: q grid would hold 1000002 points; at most 1000000 are allowed\n"
+    )
+
+
 def test_threshold_complete_graph_stable_from_zero(capsys, k5_path):
     code, out, _ = _run(capsys, "threshold", "--input", k5_path)
     assert code == 0
@@ -228,6 +239,75 @@ def test_threshold_json_payload(capsys, karate_path):
     assert len(payload["stable_top10"]) == 10
     assert payload["config"]["refine"] is True
     assert "jobs" not in payload["config"]
+
+
+@pytest.fixture()
+def cycle_path(tmp_path):
+    # Every node's ego holds three equal shares, so every q ranks by label.
+    path = tmp_path / "cycle.edges"
+    path.write_text("".join(f"{i} {(i + 1) % 12}\n" for i in range(12)))
+    return str(path)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "graph, grid",
+    [("karate", None), ("karate", "8,10"), ("karate", "6:10:1"), ("cycle", None)],
+    ids=["karate-default-grid", "2-point-grid", "5-point-grid", "cycle"],
+)
+def test_threshold_bytes_match_detection_over_a_full_sweep(
+    capsys, monkeypatch, karate_path, cycle_path, graph, grid, jobs
+):
+    """threshold scores the grid from its top down in blocks, as detection
+    reads it; its bytes must be those of detection over one sweep of the
+    whole grid. At --jobs 2 the 5-point grid would leave a 1-point bottom
+    block, and on the cycle every block is read."""
+    monkeypatch.setattr(cli, "_job_count", lambda requested: requested)  # any CPU count
+    path = karate_path if graph == "karate" else cycle_path
+    base = ["threshold", "--input", path, "--jobs", jobs]
+    base += ["--grid", grid] if grid else []
+    options = itertools.product(
+        ("csv", "json"), ([], ["--relaxed-tau", "0.05"]), ([], ["--refine"])
+    )
+    for fmt, relaxed, refine in options:
+        argv = [*base, "--format", fmt, *relaxed, *refine]
+        by_block = _run(capsys, *argv)
+        with monkeypatch.context() as eager:
+            eager.setattr(
+                cli, "_RankedFromTop", lambda g, grid, jobs: sweep(g, grid, jobs).rankings
+            )
+            whole = _run(capsys, *argv)
+        assert by_block[0] == 0, by_block[2]
+        assert by_block == whole, argv
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("relaxed", [[], ["--relaxed-tau", "0.05"]], ids=["exact", "relaxed"])
+@pytest.mark.parametrize("graph", ["karate", "cycle"])
+def test_threshold_scores_only_the_blocks_detection_reads(
+    capsys, monkeypatch, karate_path, cycle_path, graph, relaxed, jobs
+):
+    """Detection reads the stable suffix and the point below it, so the
+    blocks of 2 * jobs points that hold them are all that is scored; each
+    block's workers are reaped before the next block starts."""
+    real_sweep = cli.sweep
+    scored = []
+
+    def counting_sweep(graph, grid, jobs=1):
+        result = real_sweep(graph, grid, jobs=jobs)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # no child left running or unreaped
+        scored.append(len(grid))
+        return result
+
+    monkeypatch.setattr(cli, "sweep", counting_sweep)
+    monkeypatch.setattr(cli, "_job_count", lambda requested: requested)  # any CPU count
+    path = karate_path if graph == "karate" else cycle_path
+    code, out, err = _run(capsys, "threshold", "--input", path, "--jobs", str(jobs), *relaxed)
+    assert code == 0, err
+    suffix_length = int(dict(_rows(out)[1:])["suffix_length"])
+    points = len(default_grid())
+    assert sum(scored) <= min(points, suffix_length + 1) + 2 * jobs - 1, scored
 
 
 def test_states_karate_rows(capsys, karate_path):

@@ -623,17 +623,19 @@ def test_parse_grid_rejects_malformed_specs():
             parse_grid(bad)
 
 
-@pytest.mark.parametrize("spec", ["0:inf:1", "-inf:1:1"])
-def test_parse_grid_rejects_infinite_range_promptly(spec):
-    # A range that never reaches its stop must be refused, not walked: run
-    # it in a child with a time limit and a 1 GB address-space cap, so that
-    # a loop that never ends cannot exhaust memory.
+def _parse_grid_in_capped_child(spec):
+    """What parse_grid(spec) prints, returned or raised as ValueError, then
+    whether it allocated under 1 MB; run in a child with a time limit and
+    a 1 GB address-space cap, so that a loop that never ends cannot
+    exhaust memory."""
     code = (
-        "import resource; "
+        "import resource, tracemalloc; "
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
         "from lsentropy import parse_grid\n"
-        f"try:\n    parse_grid({spec!r})\n"
-        "except ValueError as exc:\n    print(exc)"
+        "tracemalloc.start()\n"
+        f"try:\n    print(parse_grid({spec!r}))\n"
+        "except ValueError as exc:\n    print(exc)\n"
+        "print(tracemalloc.get_traced_memory()[1] < 1 << 20)"
     )
     src = str(Path(lsentropy.__file__).resolve().parent.parent)
     proc = subprocess.run(
@@ -644,4 +646,41 @@ def test_parse_grid_rejects_infinite_range_promptly(spec):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert f"bad grid segment {spec!r}" in proc.stdout
+    return proc.stdout
+
+
+@pytest.mark.parametrize("spec", ["0:inf:1", "-inf:1:1"])
+def test_parse_grid_rejects_infinite_range_promptly(spec):
+    # A range that never reaches its stop must be refused, not walked.
+    assert f"bad grid segment {spec!r}" in _parse_grid_in_capped_child(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, points",
+    [
+        ("0:10:1e-9", "10000000001"),
+        ("0:1e20:1e-20", "over 10**28"),
+        ("0:1:1e-1000000", "over 10**28"),
+    ],
+)
+def test_parse_grid_refuses_an_oversized_grid_before_expanding_it(spec, points):
+    assert _parse_grid_in_capped_child(spec) == (
+        f"q grid would hold {points} points; at most 1000000 are allowed\nTrue\n"
+    )
+
+
+def test_parse_grid_ends_a_range_whose_step_rounds_away():
+    # 1e30 + 1 rounds back to 1e30 in the 28-digit decimal context, so
+    # stepping until the value passes stop would never end.
+    assert _parse_grid_in_capped_child("1e30:1e30:1") == "(1e+30,)\nTrue\n"
+
+
+def test_parse_grid_bounds_the_points_of_all_segments(monkeypatch):
+    monkeypatch.setattr(ranking_module, "MAX_GRID_POINTS", 5)
+    assert parse_grid("0:3:1,4") == (0.0, 1.0, 2.0, 3.0, 4.0)
+    assert parse_grid("0:4.9:1") == (0.0, 1.0, 2.0, 3.0, 4.0)
+    for spec in ("0:3:1,4,5", "0:5:1", "0,1,2,3,4,5"):
+        with pytest.raises(ValueError, match="would hold 6 points; at most 5"):
+            parse_grid(spec)
+    # an empty range counts no points
+    assert parse_grid("0:3:1,9:8:1,4") == (0.0, 1.0, 2.0, 3.0, 4.0)
