@@ -13,8 +13,10 @@ None) passes ``(graph, score tables, rankings)`` as its rows; it is four
 columns whose third is an entropy and whose fourth is the rank, one
 block of rows per scored q in ranking order, read by indexing the
 graph's columns with each ranking's node-id order. CSV writes each
-block with one write of hand-joined lines, the labels quoted once per
-command by ``csv.writer`` itself, q as its repr and the entropy at 6
+block with one write: one ``%`` template of numbered rows, built once
+per command, takes the block's cells as its arguments, so a label
+holding ``%`` is never read as a format. The labels are quoted once per
+command by ``csv.writer`` itself, q is its repr and the entropy has 6
 decimals; JSON gives one object per row at full float precision. A
 record (``threshold``, ``states``, ``compare``) carries its JSON
 ``fields`` and its CSV ``header`` and ``rows`` side by side, because
@@ -302,12 +304,13 @@ def _emit(args: argparse.Namespace, fields, header, rows, handle: IO[str]) -> No
         # processes. csv.writer quotes each label once, and q is formatted
         # once per block as repr, which csv.writer writes for a float.
         block = _table_block(header, _csv_lines(zip(rows[0].labels)), repr, *rows)
+        template = "".join([
+            f"%s,%s,%.6f,{position}\n"
+            for position in range(1, rows[0].node_count + 1)
+        ])
 
         def formatted(k: int) -> bytes:
-            return "".join([
-                f"{a},{b},{entropy:.6f},{position}\n"
-                for position, (a, b, entropy) in enumerate(zip(*block(k)), start=1)
-            ]).encode()
+            return (template % tuple(chain.from_iterable(zip(*block(k))))).encode()
 
         handle.write(",".join(header) + "\n")
         for text in forked_map(formatted, range(len(rows[1])), args.jobs):

@@ -10,15 +10,21 @@ form replaces it with the Tsallis entropy
 
 which recovers Shannon as q -> 1 and degree centrality at q = 0
 (an ego network of d+1 members scores exactly d).
+
+``local_structure_entropies`` scores every node at one q from the
+graph's shares, laid out once by ego size (``ego_share_vector``): one
+libm call per distinct share, then one C-level gather and run of fsums
+per ego-size group, with the same bits as scoring node by node.
 """
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from collections import defaultdict
-from itertools import count, islice
-from typing import Callable, Iterable
+from functools import partial
+from itertools import chain, count, groupby, islice, repeat
+from operator import itemgetter, mul, neg, sub, truediv
+from typing import Callable, Iterable, Iterator
 
 from .graph import Graph
 
@@ -62,19 +68,28 @@ def tsallis_entropy(probs: Iterable[float], q: float) -> float:
         ValueError: entries outside (0, 1], sum off 1 beyond tolerance,
             or q negative/non-finite.
     """
-    term, entropy = _tsallis_at(_checked_entropic_index(q))
-    return entropy(math.fsum(map(term, _checked_distribution(probs))))
+    terms, entropies = _tsallis_at(_checked_entropic_index(q))
+    [entropy] = entropies([math.fsum(terms(_checked_distribution(probs)))])
+    return entropy
 
 
-def _tsallis_at(q: float) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """S_q as ``(term, entropy)``: S_q(p) is ``entropy(fsum(map(term, p)))``
-    for an already checked distribution p."""
+def _tsallis_at(q: float) -> tuple[
+    Callable[[Iterable[float]], Iterator[float]],
+    Callable[[Iterable[float]], Iterator[float]],
+]:
+    """S_q as ``(terms, entropies)``: ``terms(p)`` maps each share of a
+    checked distribution p, a sequence, to its term, and
+    ``entropies(sums)`` maps the fsum of each distribution's terms to
+    S_q, with no Python-level call per element."""
     # fsum keeps the accumulation exactly rounded, so the sum does not
     # depend on the order of the terms; long hub distributions would
     # otherwise drift.
     if abs(q - 1.0) <= Q_ONE_TOLERANCE:
-        return (lambda x: x * math.log(x)), operator.neg
-    return (lambda x: x**q), (lambda s: (1.0 - s) / (q - 1.0))
+        return (lambda p: map(mul, p, map(math.log, p))), partial(map, neg)
+    return (
+        lambda p: map(pow, p, repeat(q)),
+        lambda sums: map(truediv, map(sub, repeat(1.0), sums), repeat(q - 1.0)),
+    )
 
 
 def local_degree_distribution(graph: Graph, node: int) -> tuple[float, ...]:
@@ -120,44 +135,65 @@ def local_structure_entropies(graph: Graph, q: float) -> array:
     """``local_structure_entropy`` of every node, in node-id order, as an
     ``array('d')``.
 
-    The ego shares are built once per graph, on the first call. Each q
-    then evaluates its term once per distinct share and sums, per node,
-    the terms of the node's shares: every term is the same libm value as
-    scoring node by node, and fsum is correctly rounded, so the scores
+    At q = 0 a score is the node's degree, which the formula gives
+    exactly there, so no shares are built. Otherwise each q evaluates its
+    term once per distinct share of ``ego_share_vector`` (built on the
+    first call) and fsums each node's run of terms in C-level iterators,
+    one ego-size group at a time. The terms are the libm values of
+    scoring node by node and fsum is correctly rounded, so the scores
     are bit-identical to it.
     """
-    term, entropy = _tsallis_at(_checked_entropic_index(q))
-    values, index, bounds = graph._ego_shares
-    table = list(map(term, values))
-    terms = map(table.__getitem__, index)
-    return array("d", [
-        entropy(math.fsum(islice(terms, b - a))) if a < b else 0.0
-        for a, b in zip(bounds, bounds[1:])
-    ])
+    q = _checked_entropic_index(q)
+    if q == 0.0:
+        return array("d", map(float, graph.degrees))
+    terms, entropies = _tsallis_at(q)
+    values, isolated, groups, places = graph._ego_shares
+    table = list(terms(values))
+    # One group's gathered terms are alive at a time, never the whole graph's.
+    sums = chain.from_iterable(
+        map(math.fsum, zip(*repeat(iter(get(table)), k))) for k, get in groups
+    )
+    laid_out = [*repeat(0.0, isolated), *entropies(sums)]
+    return array("d", map(laid_out.__getitem__, places))
 
 
-def ego_share_vector(graph: Graph) -> tuple[array, array, array]:
-    """Every ego degree share, interned by its float value.
+def ego_share_vector(
+    graph: Graph,
+) -> tuple[array, int, tuple[tuple[int, Callable], ...], array]:
+    """Every ego degree share, interned by its float value and laid out
+    by ego size.
 
-    Returns ``(values, index, bounds)``: ``values`` holds each distinct
-    share once, and node i's shares are ``values[k]`` for k in
-    ``index[bounds[i]:bounds[i + 1]]``, the centre's first; an isolated
-    node's slice is empty. Graph caches the result. Each share is the
+    Returns ``(values, isolated, groups, places)``. ``values`` holds each
+    distinct share once. The layout orders the nodes stably by degree:
+    first the ``isolated`` degree-0 nodes, then one group per degree d,
+    ascending, whose ``(k, get)`` in ``groups`` gives its ego size
+    k = d + 1 and an ``operator.itemgetter`` over the ids of its shares,
+    k per node in the layout's order, the centre's first. So
+    ``get(values)`` is the group's shares. ``places[i]`` is node i's
+    position in the layout. Graph caches the result. Each share is the
     same single division d / total as in ``local_degree_distribution``,
     and needs no ``_checked_distribution``: 1 <= d <= total, so it lies
     in (0, 1], and the exact sum of the correctly rounded quotients lies
     within 2**-53 of 1, far inside PROB_SUM_TOLERANCE.
     """
-    degrees = graph.degrees
+    degrees, adjacency = graph.degrees, graph.adjacency
     # A new share takes the next id as it is first seen, so the keys are
-    # in id order.
+    # in id order. The getters hold the dict's own id objects, not copies.
     ids: defaultdict[float, int] = defaultdict(count().__next__)
-    index = array("q")
-    bounds = array("q", [0])
-    for node, neighbours in enumerate(graph.adjacency):
-        if neighbours:
-            ego = [degrees[node], *map(degrees.__getitem__, neighbours)]
-            total = sum(ego)
-            index.extend(map(ids.__getitem__, [d / total for d in ego]))
-        bounds.append(len(index))
-    return array("d", ids), index, bounds
+
+    def ego_ids(node: int) -> Iterator[int]:
+        ego = [degrees[node], *map(degrees.__getitem__, adjacency[node])]
+        total = sum(ego)
+        return map(ids.__getitem__, [d / total for d in ego])
+
+    layout = array("q", sorted(range(graph.node_count), key=degrees.__getitem__))
+    # places inverts layout: node i sits at layout[places[i]].
+    places = array("q", sorted(range(graph.node_count), key=layout.__getitem__))
+    isolated = degrees.count(0)
+    groups = []
+    for degree, nodes in groupby(islice(layout, isolated, None), degrees.__getitem__):
+        share_ids = tuple(chain.from_iterable(map(ego_ids, nodes)))
+        # k >= 2 ids, so the getter returns a tuple; it keeps share_ids
+        # itself as its items, not a copy.
+        groups.append((degree + 1, itemgetter(*share_ids)))
+    return array("d", ids), isolated, tuple(groups), places

@@ -89,7 +89,7 @@ class Graph:
         )
 
     @cached_property
-    def _ego_shares(self) -> tuple[array, array, array]:
+    def _ego_shares(self) -> tuple[array, int, tuple, array]:
         """``entropy.ego_share_vector(self)``, built on first use so that
         loading a graph does not pay for it."""
         from .entropy import ego_share_vector  # entropy imports this module

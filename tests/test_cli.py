@@ -15,6 +15,7 @@ import pytest
 from lsentropy import (
     default_grid,
     karate_edges_path,
+    load_edge_list,
     local_structure_entropy,
     parse_grid,
     rank,
@@ -639,7 +640,7 @@ def test_output_file_matches_stdout(capsys, triangle_path, tmp_path):
     ids=lambda argv: argv[0],
 )
 def test_table_csv_bytes_match_csv_writer(capsys, tmp_path, argv):
-    # The table CSV is hand-joined; csv.writer on the JSON rows is the
+    # The table CSV is formatted by hand; csv.writer on the JSON rows is the
     # reference for its quoting, q cells and line endings.
     edges = tmp_path / "labels.edges"
     edges.write_text(
@@ -660,6 +661,57 @@ def test_table_csv_bytes_match_csv_writer(capsys, tmp_path, argv):
         writer.writerow(row.values())
     assert csv_path.read_bytes() == reference.getvalue().encode("utf-8")
     assert {row["label"] for row in rows} == {"a,b", 'say"hi"', "é", "007", "10"}
+
+
+def _per_row_csv(header, graph, tables, rankings):
+    """The table CSV written one row at a time by ``csv.writer``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for table, ranking in zip(tables, rankings):
+        for position, node in enumerate(ranking.order, start=1):
+            label, entropy = graph.labels[node], f"{table.scores[node]:.6f}"
+            if header[0] == "q":
+                writer.writerow([table.q, label, entropy, position])
+            else:
+                writer.writerow([label, graph.degrees[node], entropy, position])
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "--q", "1.5"],
+        ["rank", "--q", "0"],
+        ["sweep", "--grid", "0,0.25,1,2.2", "--jobs", "1"],
+        ["sweep", "--grid", "0,0.25,1,2.2", "--jobs", "2"],
+    ],
+    ids=["rank", "rank-q0", "sweep-jobs1", "sweep-jobs2"],
+)
+def test_table_csv_bytes_match_a_per_row_formatter(capsys, tmp_path, argv):
+    # Labels that a % template, a CSV reader or an ASCII codec would
+    # misread. rank's one block is formatted in this process; sweep's four
+    # are split over --jobs processes.
+    edges = tmp_path / "percent.edges"
+    edges.write_text(
+        '50% %s\n%s %(x)s\n%(x)s %%\n%% a,b\na,b say"hi"\nsay"hi" é漢\n'
+        "é漢 50%\n%s %%\n%d %s\n%.6f %d\n",
+        encoding="utf-8",
+    )
+    graph = load_edge_list(edges.read_text(encoding="utf-8"))
+    assert "%(x)s" in graph.labels and "%%" in graph.labels
+    csv_path = tmp_path / "table.csv"
+    command = [*argv, "--input", str(edges), "--output", str(csv_path)]
+    if argv[0] == "rank":
+        table = score_all(graph, float(argv[2]))
+        header, tables, rankings = cli._RANK_HEADER, [table], [rank(table)]
+    else:
+        result = sweep(graph, parse_grid(argv[2]))
+        header = ("q", "label", "entropy", "rank")
+        tables, rankings = result.score_tables, result.rankings
+    assert main(command) == 0
+    assert capsys.readouterr().err == ""
+    assert csv_path.read_bytes() == _per_row_csv(header, graph, tables, rankings)
 
 
 def test_parse_error_reports_path_and_line(capsys, tmp_path):

@@ -1,7 +1,9 @@
 """Tsallis entropy and per-node structure entropy."""
 from array import array
 import math
+from pathlib import Path
 import random
+import sys
 
 import pytest
 
@@ -15,7 +17,11 @@ from lsentropy import (
     sweep,
     tsallis_entropy,
 )
-from lsentropy.entropy import ego_share_vector
+from lsentropy.entropy import ego_share_vector, local_structure_entropies
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import corpus  # noqa: E402
 
 
 def test_tsallis_uniform_hand_values():
@@ -129,8 +135,27 @@ def test_entropy_rejects_bad_node():
         local_structure_entropy(g, 5, 1.0)
 
 
+def _pa_graph(n, m, seed):
+    """Preferential attachment, as the benchmark corpus generates it."""
+    return load_edge_list(corpus.edge_list_text(corpus.preferential_attachment(n, m, seed)))
+
+
+def _share_ids_by_node(g):
+    """``ego_share_vector(g)`` read back per node: the distinct share
+    values, each node's share ids in the layout, and ``places``."""
+    values, isolated, groups, places = ego_share_vector(g)
+    every_id = range(len(values))
+    by_place = [()] * isolated
+    for k, get in groups:
+        ids = get(every_id)
+        assert len(ids) % k == 0
+        by_place += (ids[i : i + k] for i in range(0, len(ids), k))
+    assert len(by_place) == g.node_count
+    return values, [by_place[p] for p in places], places
+
+
 @pytest.mark.parametrize(
-    "q", [0.0, 0.5, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 2.2, 10.0, 100.0]
+    "q", [0.0, 0.5, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 2.2, 10.0, 100.0, 20.0, 1000.0]
 )
 def test_score_all_equals_node_by_node_bitwise(karate, q):
     with_isolated = Graph(
@@ -139,23 +164,43 @@ def test_score_all_equals_node_by_node_bitwise(karate, q):
     # b's ego degrees (2, 1, 1) give 1/4 twice; x's ego degrees (2, 3, 3)
     # give 2/8, the same float from another (d, total) pair.
     coinciding = load_edge_list("a b\nb c\nx y\nx z\ny y1\ny y2\nz z1\nz z2\n")
-    for g in (karate, with_isolated, coinciding):
+    one_edge = load_edge_list("a b\n")
+    star = load_edge_list("".join(f"h l{i}\n" for i in range(6)))  # hub alone in its group
+    isolated_among = Graph(
+        labels=("z0", "a", "b", "z1", "c", "z2"),
+        adjacency=((), (2, 4), (1,), (), (1,), ()),
+    )
+    hubs = _pa_graph(300, 2, seed=5)
+    for g in (karate, with_isolated, coinciding, one_edge, star, isolated_among, hubs):
         expected = tuple(local_structure_entropy(g, i, q) for i in range(g.node_count))
-        assert score_all(g, q).scores == array("d", expected)
+        assert score_all(g, q).scores.tobytes() == array("d", expected).tobytes()
 
-        values, index, bounds = ego_share_vector(g)
+        values, ids, places = _share_ids_by_node(g)
         assert len(set(values)) == len(values)
+        # The layout orders the nodes stably by degree.
+        layout = sorted(range(g.node_count), key=g.degrees.__getitem__)
+        assert [places[node] for node in layout] == list(range(g.node_count))
         for node in range(g.node_count):
-            gathered = sorted(values[k] for k in index[bounds[node] : bounds[node + 1]])
+            gathered = sorted(values[k] for k in ids[node])
             if g.degrees[node]:
                 assert gathered == sorted(local_degree_distribution(g, node))
             else:
                 assert gathered == []
     b, x = coinciding.labels.index("b"), coinciding.labels.index("x")
-    values, index, bounds = ego_share_vector(coinciding)
+    values, ids, _ = _share_ids_by_node(coinciding)
     quarter = values.index(0.25)
-    assert index[bounds[b] + 1 : bounds[b] + 3].tolist() == [quarter, quarter]
-    assert index[bounds[x]] == quarter
+    assert ids[b][1:] == (quarter, quarter)
+    assert ids[x][0] == quarter
+    assert max(star.degrees) == 6 and star.degrees.count(6) == 1
+
+
+def test_q0_scores_are_the_degrees_without_a_share_build():
+    g = _pa_graph(300, 2, seed=5)
+    with_isolated = Graph(labels=("a", "b", "z"), adjacency=((1,), (0,), ()))
+    for graph in (g, with_isolated):
+        scores = local_structure_entropies(graph, 0.0)
+        assert scores.tobytes() == array("d", map(float, graph.degrees)).tobytes()
+        assert "_ego_shares" not in graph.__dict__
 
 
 def test_repeated_sweeps_on_one_graph_agree(karate):
