@@ -1,4 +1,4 @@
-"""Command-line front-end: load edge lists, run experiments, emit CSV/JSON.
+"""Command-line front-end: load edge lists, run experiments, emit CSV or JSON.
 
 Five subcommands: ``rank`` scores every node at one entropic index,
 ``sweep`` does so over a q grid, ``threshold`` detects the q where the
@@ -12,24 +12,28 @@ Every subcommand returns one ``(fields, header, rows)`` result, and
 None) passes ``(graph, score tables, rankings)`` as its rows; it is four
 columns whose third is an entropy and whose fourth is the rank, one
 block of rows per scored q in ranking order, read by indexing the
-graph's columns with each ranking's node-id order. CSV writes each
-block with one write: one ``%`` template of numbered rows, built once
-per command, takes the block's cells as its arguments, so a label
-holding ``%`` is never read as a format. The labels are quoted once per
-command by ``csv.writer`` itself, q is its repr and the entropy has 6
-decimals; JSON gives one object per row at full float precision. A
-record (``threshold``, ``states``, ``compare``) carries its JSON
-``fields`` and its CSV ``header`` and ``rows`` side by side, because
-the two formats order, name and spell them differently. CSV output is
-UTF-8 with LF line endings and a header row. JSON output echoes as
-"config" the arguments each subparser's ``echo`` default names, never
-the output path or --jobs, which cannot affect the numbers: identical
-(input, parameters) must produce byte-identical output.
+graph's columns with each ranking's node-id order. Both formats write a
+table as a head, one write per block, and a tail. Each block is one
+``%`` template of numbered rows, built once per command, filled with
+the block's cells, so a label holding ``%`` is never read as a format;
+each label is quoted once per command, and q is its repr. The formats
+differ only in that data: CSV quotes labels as ``csv.writer`` does, has
+6-decimal entropies and a header line for its head; JSON quotes them
+with ``json.dumps``, has full-precision (repr) entropies, joins blocks
+with ``,`` and cuts its head and tail from the payload dumped with an
+empty ``rows``. A record (``threshold``, ``states``, ``compare``)
+carries its JSON ``fields`` and its CSV ``header`` and ``rows`` side by
+side, because the two formats order, name and spell them differently.
+Output is UTF-8 bytes whatever the locale; CSV has LF line endings and
+a header row. JSON output echoes as "config" the arguments each
+subparser's ``echo`` default names, never the output path or --jobs,
+which cannot affect the numbers: identical (input, parameters) must
+produce byte-identical output.
 ``compare`` re-indexes its second ranking into the first's labels once,
 as it loads them, so tau and the overlaps compare id orders.
 
-``--jobs`` splits a grid command's q points, and the table CSV's blocks,
-over that many processes forked from this one (``_workers.forked_map``);
+``--jobs`` splits a grid command's q points, and a table's blocks, over
+that many processes forked from this one (``_workers.forked_map``);
 it defaults to, and is capped at, the CPUs this process may use.
 
 ``sweep`` and ``states`` score every grid point. ``threshold`` scores
@@ -48,7 +52,7 @@ import os
 import sys
 from collections.abc import Sequence
 from itertools import chain, repeat
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Iterable
 
 from ._workers import forked_map
 from .graph import EdgeListParseError, EmptyGraphError, Graph, load_edge_list
@@ -134,29 +138,6 @@ def _label_line(labels: Iterable[str]) -> str:
     """Labels as one CSV line, so that labels holding ',' or '"' read back
     intact with ``next(csv.reader([line]))``."""
     return _csv_lines([labels])[0]
-
-
-def _table_block(
-    header, labels, q_cell, graph: Graph, tables, rankings
-) -> Callable[[int], tuple[Iterator, Iterator, Iterator]]:
-    """A function of k giving the k-th scored q's rows in ranking order,
-    as iterators over the first two columns that ``header`` names and
-    over the entropies; a row's rank is its position. ``labels`` (by node
-    id) and ``q_cell`` give the label and q cells. Each ranking orders
-    the graph's own labels, so its order indexes the columns directly."""
-
-    def block(k: int) -> tuple[Iterator, Iterator, Iterator]:
-        table = tables[k]
-        order = rankings[k].order
-        columns = {
-            "q": repeat(q_cell(table.q)),
-            "label": map(labels.__getitem__, order),
-            "degree": map(graph.degrees.__getitem__, order),
-        }
-        entropies = map(table.scores.__getitem__, order)
-        return columns[header[0]], columns[header[1]], entropies
-
-    return block
 
 
 def cmd_rank(args: argparse.Namespace) -> Result:
@@ -282,43 +263,52 @@ def cmd_compare(args: argparse.Namespace) -> Result:
     return fields, tuple(fields), [tuple(fields.values())]
 
 
-def _emit(args: argparse.Namespace, fields, header, rows, handle: IO[str]) -> None:
-    """Write one subcommand's result to ``handle`` as CSV or JSON, by the
-    table and record rules in the module docstring."""
+def _emit(args: argparse.Namespace, fields, header, rows, handle: IO[bytes]) -> None:
+    """Write one subcommand's result to ``handle`` as UTF-8 CSV or JSON, by
+    the table and record rules in the module docstring."""
     if args.format == "json":
-        if fields is None:
-            block = _table_block(header, rows[0].labels, float, *rows)
-            blocks = map(block, range(len(rows[1])))
-            fields = {"rows": [
-                dict(zip(header, (*cells, position)))
-                for block in blocks
-                for position, cells in enumerate(zip(*block), start=1)
-            ]}
         config = {"command": args.command}
         config.update((name, getattr(args, name)) for name in args.echo)
-        payload = {"command": args.command, "config": config, **fields}
-        handle.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+        body = {"rows": []} if fields is None else fields
+        payload = {"command": args.command, "config": config, **body}
+        text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    else:
+        lines = [header] if fields is None else [header, *rows]
+        text = "".join(map(csv.writer(_Echo(), lineterminator="\n").writerow, lines))
+    if fields is not None:
+        handle.write(text.encode())
         return
-    if fields is None:
-        # One write per scored q, its block formatted by one of args.jobs
-        # processes. csv.writer quotes each label once, and q is formatted
-        # once per block as repr, which csv.writer writes for a float.
-        block = _table_block(header, _csv_lines(zip(rows[0].labels)), repr, *rows)
-        template = "".join([
-            f"%s,%s,%.6f,{position}\n"
-            for position in range(1, rows[0].node_count + 1)
-        ])
+    graph, tables, rankings = rows
+    if args.format == "json":
+        # The table goes where the empty list is: "rows" is the last key.
+        head, _, tail = text.rpartition("[]")
+        head, tail = head + "[\n", "\n  ]" + tail
+        labels = [json.dumps(label, ensure_ascii=False) for label in graph.labels]
+        keys = zip(header, ("%%s", "%%s", "%%r", "%d"))
+        row = "    {\n%s\n    }" % ",\n".join(f'      "{k}": {cell}' for k, cell in keys)
+        separator = ",\n"
+    else:
+        head, tail, labels = text, "", _csv_lines(zip(graph.labels))
+        row, separator = "%%s,%%s,%%.6f,%d\n", ""
+    # Row k of a block is template row k, whose cells are the arguments.
+    template = separator.join(row % k for k in range(1, graph.node_count + 1))
+    templates = (template, separator + template)  # for the first block, the rest
 
-        def formatted(k: int) -> bytes:
-            return (template % tuple(chain.from_iterable(zip(*block(k))))).encode()
+    def formatted(k: int) -> bytes:
+        order = rankings[k].order
+        columns = {
+            "q": repeat(repr(tables[k].q)),
+            "label": map(labels.__getitem__, order),
+            "degree": map(graph.degrees.__getitem__, order),
+        }
+        entropies = map(tables[k].scores.__getitem__, order)
+        cells = zip(columns[header[0]], columns[header[1]], entropies)
+        return (templates[k > 0] % tuple(chain.from_iterable(cells))).encode()
 
-        handle.write(",".join(header) + "\n")
-        for text in forked_map(formatted, range(len(rows[1])), args.jobs):
-            handle.write(text.decode())
-        return
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    handle.write(head.encode())
+    for data in forked_map(formatted, range(len(tables)), args.jobs):
+        handle.write(data)
+    handle.write(tail.encode())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "processes that score the grid points and format the sweep CSV, "
+            "processes that score the grid points and format the sweep table, "
             "capped at the usable CPUs; output is the same for every N "
             "(default: the usable CPUs)"
         ),
@@ -453,9 +443,10 @@ def main(argv=None) -> int:
         _check_args(args)
         result = args.handler(args)
         if args.output is None:
-            _emit(args, *result, sys.stdout)
+            sys.stdout.flush()  # whatever was printed goes ahead of the bytes
+            _emit(args, *result, sys.stdout.buffer)
         else:
-            with open(args.output, "w", encoding="utf-8", newline="") as handle:
+            with open(args.output, "wb") as handle:
                 _emit(args, *result, handle)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

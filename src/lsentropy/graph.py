@@ -48,8 +48,9 @@ class Graph:
             (diagnostic only, excluded from equality).
 
     Instances are immutable after construction and safe to share across
-    threads and worker processes. ``Graph(labels=, adjacency=)`` checks
-    its arguments and raises ValueError on any violation of the above;
+    threads and worker processes. ``Graph(labels=, adjacency=)`` stores
+    its arguments as tuples, checks them and raises ValueError on any
+    violation of the above;
     graphs built by ``load_edge_list`` or ``from_edge_labels`` are valid
     by construction and skip those checks.
     """
@@ -61,6 +62,8 @@ class Graph:
     degrees: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "adjacency", tuple(map(tuple, self.adjacency)))
         if len(self.labels) != len(self.adjacency):
             raise ValueError("labels and adjacency lengths differ")
         if len(set(self.labels)) != len(self.labels):

@@ -57,7 +57,7 @@ class ScoreTable:
     """Per-node entropy scores at one entropic index.
 
     ``scores[i]`` is the score of ``labels[i]``; ``score_all`` and
-    ``sweep`` give an ``array('d')``.
+    ``sweep`` give an ``array('d')``. ``labels`` is stored as a tuple.
     """
 
     q: float
@@ -65,6 +65,7 @@ class ScoreTable:
     scores: Sequence[float]
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != len(self.scores):
             raise ValueError("labels and scores lengths differ")
 

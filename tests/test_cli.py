@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -663,7 +664,7 @@ def test_table_csv_bytes_match_csv_writer(capsys, tmp_path, argv):
     assert {row["label"] for row in rows} == {"a,b", 'say"hi"', "é", "007", "10"}
 
 
-def _per_row_csv(header, graph, tables, rankings):
+def _per_row_csv(argv, header, graph, tables, rankings):
     """The table CSV written one row at a time by ``csv.writer``."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -678,7 +679,66 @@ def _per_row_csv(header, graph, tables, rankings):
     return out.getvalue().encode("utf-8")
 
 
-@pytest.mark.parametrize(
+def _per_row_json(argv, header, graph, tables, rankings):
+    """The table JSON built as one dict per row and one ``json.dumps``."""
+    rows = []
+    for table, ranking in zip(tables, rankings):
+        for position, node in enumerate(ranking.order, start=1):
+            columns = {
+                "q": float(table.q),
+                "label": graph.labels[node],
+                "degree": graph.degrees[node],
+            }
+            cells = (columns[header[0]], columns[header[1]], table.scores[node])
+            rows.append(dict(zip(header, (*cells, position))))
+    option, value = argv[1:3]  # --q or --grid, as parsed
+    config = {
+        "command": argv[0],
+        "input": argv[argv.index("--input") + 1],
+        "format": "json",
+        option[2:]: float(value) if option == "--q" else value,
+    }
+    payload = {"command": argv[0], "config": config, "rows": rows}
+    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+@pytest.fixture()
+def label_table_input(tmp_path):
+    """An edge list whose labels a % template, a CSV reader, a JSON string
+    or an ASCII codec would misread, in a directory whose name holds the
+    ``[]`` that JSON output echoes with its input path."""
+    edges = tmp_path / "[]" / "percent.edges"
+    edges.parent.mkdir()
+    edges.write_text(
+        '50% %s\n%s %(x)s\n%(x)s %%\n%% a,b\na,b say"hi"\nsay"hi" é漢\n'
+        "é漢 50%\n%s %%\n%d %s\n%.6f %d\na\\b \x07\n\x07 50%\n",
+        encoding="utf-8",
+    )
+    graph = load_edge_list(edges.read_text(encoding="utf-8"))
+    assert {"%(x)s", "%%", "a\\b", "\x07"} <= set(graph.labels)
+    return str(edges), graph
+
+
+def _table_bytes_match_a_per_row_formatter(capsys, tmp_path, label_table_input, argv, fmt):
+    # rank's one block is formatted in this process; sweep's four are
+    # split over --jobs processes.
+    edges, graph = label_table_input
+    argv = [*argv, "--input", edges]
+    out_path = tmp_path / f"table.{fmt}"
+    if argv[0] == "rank":
+        table = score_all(graph, float(argv[2]))
+        header, tables, rankings = cli._RANK_HEADER, [table], [rank(table)]
+    else:
+        result = sweep(graph, parse_grid(argv[2]))
+        header = ("q", "label", "entropy", "rank")
+        tables, rankings = result.score_tables, result.rankings
+    assert main([*argv, "--format", fmt, "--output", str(out_path)]) == 0
+    assert capsys.readouterr().err == ""
+    reference = {"csv": _per_row_csv, "json": _per_row_json}[fmt]
+    assert out_path.read_bytes() == reference(argv, header, graph, tables, rankings)
+
+
+_TABLE_ARGVS = pytest.mark.parametrize(
     "argv",
     [
         ["rank", "--q", "1.5"],
@@ -688,30 +748,55 @@ def _per_row_csv(header, graph, tables, rankings):
     ],
     ids=["rank", "rank-q0", "sweep-jobs1", "sweep-jobs2"],
 )
-def test_table_csv_bytes_match_a_per_row_formatter(capsys, tmp_path, argv):
-    # Labels that a % template, a CSV reader or an ASCII codec would
-    # misread. rank's one block is formatted in this process; sweep's four
-    # are split over --jobs processes.
-    edges = tmp_path / "percent.edges"
-    edges.write_text(
-        '50% %s\n%s %(x)s\n%(x)s %%\n%% a,b\na,b say"hi"\nsay"hi" é漢\n'
-        "é漢 50%\n%s %%\n%d %s\n%.6f %d\n",
-        encoding="utf-8",
+
+
+@_TABLE_ARGVS
+def test_table_csv_bytes_match_a_per_row_formatter(capsys, tmp_path, label_table_input, argv):
+    _table_bytes_match_a_per_row_formatter(capsys, tmp_path, label_table_input, argv, "csv")
+
+
+@_TABLE_ARGVS
+def test_table_json_bytes_match_a_per_row_formatter(capsys, tmp_path, label_table_input, argv):
+    _table_bytes_match_a_per_row_formatter(capsys, tmp_path, label_table_input, argv, "json")
+
+
+def test_json_table_is_written_block_by_block(label_table_input):
+    # The head, one block per grid point, then the tail: no write holds the
+    # whole table.
+    edges, graph = label_table_input
+    grid = "0,0.5,1,2"
+    args = cli.build_parser().parse_args(
+        ["sweep", "--input", edges, "--grid", grid, "--format", "json", "--jobs", "2"]
     )
-    graph = load_edge_list(edges.read_text(encoding="utf-8"))
-    assert "%(x)s" in graph.labels and "%%" in graph.labels
-    csv_path = tmp_path / "table.csv"
-    command = [*argv, "--input", str(edges), "--output", str(csv_path)]
-    if argv[0] == "rank":
-        table = score_all(graph, float(argv[2]))
-        header, tables, rankings = cli._RANK_HEADER, [table], [rank(table)]
-    else:
-        result = sweep(graph, parse_grid(argv[2]))
-        header = ("q", "label", "entropy", "rank")
-        tables, rankings = result.score_tables, result.rankings
-    assert main(command) == 0
-    assert capsys.readouterr().err == ""
-    assert csv_path.read_bytes() == _per_row_csv(header, graph, tables, rankings)
+    cli._check_args(args)
+    writes = []
+    cli._emit(args, *args.handler(args), SimpleNamespace(write=writes.append))
+    assert len(writes) == len(parse_grid(grid)) + 2
+    assert all(isinstance(data, bytes) for data in writes)
+    rows = json.loads(b"".join(writes))["rows"]
+    assert len(rows) == len(parse_grid(grid)) * graph.node_count
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+def test_stdout_is_utf8_whatever_the_locale(encoding, label_table_input, tmp_path):
+    import lsentropy
+
+    edges, _ = label_table_input
+    src = str(Path(lsentropy.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": encoding}
+    for argv in (
+        ["rank", "--q", "1"],
+        ["sweep", "--grid", "0,1", "--format", "json"],
+        ["states", "--grid", "0,1,2"],
+        ["threshold", "--grid", "0,1,2", "--format", "json"],
+    ):
+        command = [sys.executable, "-m", "lsentropy.cli", *argv, "--input", edges]
+        out_path = tmp_path / "out"
+        subprocess.run([*command, "--output", str(out_path)], env=env, check=True)
+        proc = subprocess.run(command, capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out_path.read_bytes()
+        assert "é漢".encode() in proc.stdout
 
 
 def test_parse_error_reports_path_and_line(capsys, tmp_path):

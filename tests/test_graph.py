@@ -113,6 +113,23 @@ def test_graph_rejects_self_loop_in_adjacency():
         Graph(labels=("a",), adjacency=((0,),))
 
 
+def test_checked_constructor_stores_tuples():
+    # Lists are stored as tuples before the checks, so the graph is
+    # hashable where rank and sweep cache by its labels.
+    from lsentropy import rank, score_all, sweep
+
+    g = Graph(labels=["a", "b", "c"], adjacency=[[1, 2], (0,), [0]])
+    assert g.labels == ("a", "b", "c")
+    assert g.adjacency == ((1, 2), (0,), (0,))
+    assert rank(score_all(g, 1.0)).ordered_labels == ("a", "b", "c")
+    assert len(sweep(g, (0.0, 1.0)).rankings) == 2
+    assert Graph(labels=("a", "b"), adjacency=([1], [0])).adjacency == ((1,), (0,))
+    labels = ("a", "b")
+    assert Graph(labels=labels, adjacency=((1,), (0,))).labels is labels
+    with pytest.raises(ValueError, match="node 0 is not sorted"):
+        Graph(labels=["a", "b", "c"], adjacency=[[2, 1], [0], [0]])
+
+
 def test_loaded_graph_passes_checked_constructor():
     # load_edge_list skips Graph's checks, so each graph it builds must
     # pass them when handed to the checked constructor.

@@ -84,6 +84,14 @@ def test_score_table_rejects_length_mismatch():
         ScoreTable(q=1.0, labels=("a",), scores=(1.0, 2.0))
 
 
+def test_score_table_stores_labels_as_a_tuple():
+    table = ScoreTable(q=1.0, labels=["1", "2", "3"], scores=[3.0, 1.0, 2.0])
+    assert table.labels == ("1", "2", "3")
+    assert rank(table).ordered_labels == ("1", "3", "2")
+    labels = ("1", "2")
+    assert ScoreTable(q=1.0, labels=labels, scores=(1.0, 2.0)).labels is labels
+
+
 def test_ranking_rejects_duplicates():
     with pytest.raises(ValueError):
         Ranking(("a", "a"))
