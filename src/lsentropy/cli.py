@@ -5,7 +5,9 @@ Five subcommands: ``rank`` scores every node at one entropic index,
 ranking stabilizes, ``states`` emits the q=0 / q=1 / stable orderings,
 and ``compare`` measures agreement between two previously emitted
 ranking files. Data goes to stdout (or --output), diagnostics to
-stderr, exit status 0 only on success.
+stderr. The exit status is 0 on success and 1 on an error; a reader that
+closes stdout early, as ``| head`` does, ends the run quietly with 141
+(128 + SIGPIPE).
 
 Every subcommand returns one ``(fields, header, rows)`` result, and
 ``_emit`` alone writes it. A table (``rank``, ``sweep``: ``fields`` is
@@ -28,7 +30,8 @@ Output is UTF-8 bytes whatever the locale; CSV has LF line endings and
 a header row. JSON output echoes as "config" the arguments each
 subparser's ``echo`` default names, never the output path or --jobs,
 which cannot affect the numbers: identical (input, parameters) must
-produce byte-identical output.
+produce byte-identical output. A path byte that is not UTF-8 reaches the
+echo as a lone surrogate (0xff as U+DCFF), which JSON holds escaped.
 ``compare`` re-indexes its second ranking into the first's labels once,
 as it loads them, so tau and the overlaps compare id orders.
 
@@ -276,7 +279,7 @@ def _emit(args: argparse.Namespace, fields, header, rows, handle: IO[bytes]) -> 
         lines = [header] if fields is None else [header, *rows]
         text = "".join(map(csv.writer(_Echo(), lineterminator="\n").writerow, lines))
     if fields is not None:
-        handle.write(text.encode())
+        handle.write(text.encode(errors="backslashreplace"))
         return
     graph, tables, rankings = rows
     if args.format == "json":
@@ -305,10 +308,10 @@ def _emit(args: argparse.Namespace, fields, header, rows, handle: IO[bytes]) -> 
         cells = zip(columns[header[0]], columns[header[1]], entropies)
         return (templates[k > 0] % tuple(chain.from_iterable(cells))).encode()
 
-    handle.write(head.encode())
+    handle.write(head.encode(errors="backslashreplace"))
     for data in forked_map(formatted, range(len(tables)), args.jobs):
         handle.write(data)
-    handle.write(tail.encode())
+    handle.write(tail.encode(errors="backslashreplace"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -448,6 +451,11 @@ def main(argv=None) -> int:
         else:
             with open(args.output, "wb") as handle:
                 _emit(args, *result, handle)
+    except BrokenPipeError:
+        # The reader stopped early. On /dev/null, stdout's flush at exit cannot
+        # fail again; 141 = 128 + SIGPIPE, a shell's status for such a writer.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -102,15 +102,21 @@ def local_degree_distribution(graph: Graph, node: int) -> tuple[float, ...]:
     Raises:
         ValueError: ``node`` is out of range or isolated (degree 0).
     """
-    if not 0 <= node < graph.node_count:
-        raise ValueError(
-            f"node id {node} out of range [0, {graph.node_count})"
-        )
-    if graph.degrees[node] == 0:
+    shares = _ego_distribution(graph, node)
+    if not shares:
         raise ValueError(
             f"node {graph.labels[node]!r} is isolated and has no "
             "degree distribution"
         )
+    return shares
+
+
+def _ego_distribution(graph: Graph, node: int) -> tuple[float, ...]:
+    """``local_degree_distribution``, but () for an isolated ``node``."""
+    if not 0 <= node < graph.node_count:
+        raise ValueError(f"node id {node} out of range [0, {graph.node_count})")
+    if graph.degrees[node] == 0:
+        return ()
     degrees = [graph.degrees[m] for m in sorted((node, *graph.adjacency[node]))]
     total = sum(degrees)
     return tuple(d / total for d in degrees)
@@ -120,15 +126,14 @@ def local_structure_entropy(graph: Graph, node: int, q: float) -> float:
     """Tsallis entropy of the node's ego degree distribution.
 
     Isolated nodes score 0 at every q, ranking them least influential.
+    The library's own shares skip ``tsallis_entropy``'s distribution check.
     """
-    q = _checked_entropic_index(q)
-    if not 0 <= node < graph.node_count:
-        raise ValueError(
-            f"node id {node} out of range [0, {graph.node_count})"
-        )
-    if graph.degrees[node] == 0:
+    terms, entropies = _tsallis_at(_checked_entropic_index(q))
+    shares = _ego_distribution(graph, node)
+    if not shares:
         return 0.0
-    return tsallis_entropy(local_degree_distribution(graph, node), q)
+    [entropy] = entropies([math.fsum(terms(shares))])
+    return entropy
 
 
 def local_structure_entropies(graph: Graph, q: float) -> array:

@@ -13,7 +13,7 @@ stops changing: the nonextensive threshold of the network.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, InvalidOperation, Overflow, localcontext
 from functools import lru_cache
@@ -264,16 +264,6 @@ def sweep(graph: Graph, grid, jobs: int = 1) -> SweepResult:
     return SweepResult(grid=grid, score_tables=tuple(tables), rankings=tuple(rankings))
 
 
-def _checked_relaxed_tau(relaxed_tau: float) -> float:
-    relaxed_tau = float(relaxed_tau)
-    if not 0.0 < relaxed_tau <= MAX_RELAXED_TAU:
-        raise ValueError(
-            f"relaxed tau tolerance must lie in (0, {MAX_RELAXED_TAU}], "
-            f"got {relaxed_tau!r}"
-        )
-    return relaxed_tau
-
-
 def detect_threshold(
     result: SweepResult, relaxed_tau: float | None = None
 ) -> ThresholdReport:
@@ -300,7 +290,7 @@ def detect_threshold(
             start -= 1
     else:
         labels = rankings[last].labels
-        limit = _discordant_limit(len(labels), _checked_relaxed_tau(relaxed_tau))
+        limit = _discordant_limit(len(labels), relaxed_tau)
         order = rankings[last].order
         positions = []  # of rankings[start:]
         upper = []  # bounds on each position's count from rankings[start]
@@ -368,7 +358,7 @@ def refine_threshold(
     if relaxed_tau is not None:
         labels = report.stable_ranking.labels
         position = _positions(report.stable_ranking.order)
-        limit = _discordant_limit(len(labels), _checked_relaxed_tau(relaxed_tau))
+        limit = _discordant_limit(len(labels), relaxed_tau)
     lo, hi = result.grid[index - 1], result.grid[index]
     while hi - lo > REFINE_RESOLUTION:
         mid = (lo + hi) / 2.0
@@ -443,53 +433,49 @@ def _positions(order: Sequence[int]) -> list[int]:
 
 
 def _kendall_tau(a: Sequence[int], b: Sequence[int]) -> float:
-    """Kendall tau between two orders of the same ids."""
-    place = _positions(b)
-    return _tau([place[i] for i in a])
-
-
-def _tau(order: list[int]) -> float:
-    """Kendall tau of orders a and b, given the place in b of each of a's
-    ids in turn.
-
-    The discordant-pair count is an exact integer; only tau-b's float
-    expression rounds.
-    """
-    # Permutations carry no ties, so tau-b coincides with plain tau. Keep
-    # tau-b's float expression: identical rankings give 0.9999999999999999
-    # at some n, and compare output bytes depend on that float.
-    n = len(order)
+    """Kendall tau between two orders of the same ids: ``_tau_of_count`` on
+    their exact discordant-pair count, and 1.0 for fewer than two ids."""
+    n = len(a)
     if n < 2:
         return 1.0
-    return _tau_of_count(n, _discordant_pairs(order))
+    place = _positions(b)
+    return _tau_of_count(n, _discordant_pairs([place[i] for i in a]))
 
 
 def _tau_of_count(n: int, discordant: int) -> float:
     """Tau-b's float expression for n >= 2 labels with ``discordant`` pairs."""
+    # Permutations carry no ties, so tau-b coincides with plain tau. Keep
+    # tau-b's float expression: identical rankings give 0.9999999999999999
+    # at some n, and compare output bytes depend on that float.
     total = n * (n - 1) // 2
     tau = (total - 2 * discordant) / math.sqrt(total) / math.sqrt(total)
     return min(1.0, max(-1.0, tau))
 
 
 def _discordant_limit(n: int, relaxed_tau: float) -> int:
-    """Largest discordant-pair count whose tau passes 1 - relaxed_tau.
+    """Largest discordant-pair count among n labels whose tau passes
+    1 - relaxed_tau, for a ``relaxed_tau`` checked to lie in
+    (0, MAX_RELAXED_TAU] (ValueError otherwise).
 
-    Every IEEE operation in ``_tau_of_count`` is monotone, so its value is
-    non-increasing in the count, and ``count <= limit`` holds exactly when
-    ``_tau(order) >= 1 - relaxed_tau`` does. -1 when no count passes: a
-    floor that rounds to 1.0 fails identical rankings at the n where their
-    tau reads just below 1.
+    ``_tau_of_count`` is non-increasing in the count, as each of its IEEE
+    operations is monotone, so one bisection over the counts finds the
+    limit, and ``count <= limit`` holds exactly when that count's tau
+    passes. -1 when no count passes: a floor that rounds to 1.0 fails
+    identical rankings at the n where their tau reads just below 1.
     """
+    relaxed_tau = float(relaxed_tau)
+    if not 0.0 < relaxed_tau <= MAX_RELAXED_TAU:
+        raise ValueError(
+            f"relaxed tau tolerance must lie in (0, {MAX_RELAXED_TAU}], "
+            f"got {relaxed_tau!r}"
+        )
     if n < 2:
         return 0
     floor = 1.0 - relaxed_tau
-    total = n * (n - 1) // 2
-    limit = int(total * relaxed_tau / 2)  # the boundary up to rounding
-    while limit >= 0 and _tau_of_count(n, limit) < floor:
-        limit -= 1
-    while limit < total and _tau_of_count(n, limit + 1) >= floor:
-        limit += 1
-    return limit
+    passing = bisect_left(  # how many counts pass; they lie below all that fail
+        range(n * (n - 1) // 2 + 1), True, key=lambda c: _tau_of_count(n, c) < floor
+    )
+    return passing - 1
 
 
 def compare_rankings(a: Ranking, b: Ranking) -> RankingComparison:

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -861,6 +862,63 @@ def test_failed_worker_exits_1_without_traceback(capsys, monkeypatch, karate_pat
     )
     assert code == 1 and out == ""
     assert err == "error: worker 1 failed on item 1: RuntimeError: boom\n"
+
+
+def _cli_command(*argv):
+    """``python -m lsentropy.cli argv`` and the environment that imports
+    this checkout's package."""
+    import lsentropy
+
+    src = str(Path(lsentropy.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return [sys.executable, "-m", "lsentropy.cli", *argv], env
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_closed_stdout_pipe_exits_141_quietly(jobs, tmp_path):
+    """A reader that stops early, as ``| head -n 1`` does, ends the run with
+    128 + SIGPIPE and nothing on stderr. stderr reaches its end only when
+    every process holding it has exited, forked workers included."""
+    rng = random.Random(3)
+    edges = [(i, rng.randrange(i)) for i in range(1, 300)]
+    edges += [rng.sample(range(300), 2) for _ in range(600)]
+    path = tmp_path / "g.edges"
+    path.write_text("".join(f"node{u} node{v}\n" for u, v in edges))
+    command, env = _cli_command("sweep", "--input", str(path), "--jobs", jobs)
+    subprocess.run([*command, "--output", str(tmp_path / "all.csv")], env=env, check=True)
+    assert (tmp_path / "all.csv").stat().st_size > 300_000  # outgrows a pipe's buffer
+    proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"q,label,entropy,rank\n"
+    proc.stdout.close()
+    try:
+        _, stderr = proc.communicate(timeout=120)
+    finally:
+        proc.kill()  # only if it outlived the timeout
+    assert (proc.returncode, stderr) == (141, b"")
+
+
+def test_json_echoes_an_input_path_that_is_not_utf8(tmp_path, karate_path):
+    """argv decodes a byte that is not UTF-8 to a lone surrogate; JSON
+    echoes it as its escape, so the output stays UTF-8 and reads back as
+    the path."""
+    edges = os.fsencode(tmp_path / "k") + b"\xff.edges"
+    ranked = os.fsencode(tmp_path / "r") + b"\xff.csv"
+    try:
+        shutil.copyfile(karate_path, edges)
+    except (OSError, UnicodeError):
+        pytest.skip("the filesystem refuses a name that is not UTF-8")
+    command, env = _cli_command("rank", "--q", "1", "--input", edges)
+    subprocess.run([*command, "--output", ranked], env=env, check=True)
+    for argv, echoed in (
+        (["rank", "--q", "1", "--input", edges], {"input": edges}),
+        (["compare", ranked, ranked], {"input_a": ranked, "input_b": ranked}),
+    ):
+        command, env = _cli_command(*argv, "--format", "json")
+        proc = subprocess.run(command, capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        config = json.loads(proc.stdout.decode("utf-8"))["config"]
+        for name, path in echoed.items():
+            assert config[name] == os.fsdecode(path)
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from lsentropy import (
     sweep,
     tsallis_entropy,
 )
+from lsentropy import entropy as entropy_module
 from lsentropy.entropy import ego_share_vector, local_structure_entropies
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -133,6 +134,22 @@ def test_entropy_rejects_bad_node():
     g = load_edge_list("a b\n")
     with pytest.raises(ValueError):
         local_structure_entropy(g, 5, 1.0)
+
+
+def test_scoring_never_rechecks_the_library_shares(karate, monkeypatch):
+    """Shares the library built reach the formula without
+    ``_checked_distribution``, which serves caller-given vectors only."""
+
+    def refuse(probs):
+        raise AssertionError("library-built shares were checked again")
+
+    monkeypatch.setattr(entropy_module, "_checked_distribution", refuse)
+    for q in (0.0, 0.5, 1.0, 2.5):
+        scores = score_all(karate, q).scores
+        for node in range(karate.node_count):
+            assert local_structure_entropy(karate, node, q) == scores[node]
+    with pytest.raises(AssertionError):
+        tsallis_entropy((0.5, 0.5), 1.0)
 
 
 def _pa_graph(n, m, seed):

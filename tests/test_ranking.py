@@ -38,7 +38,7 @@ from lsentropy.ranking import (
     _discordant_limit,
     _discordant_pairs,
     _kendall_tau,
-    _tau,
+    _tau_of_count,
 )
 
 
@@ -418,8 +418,12 @@ def test_discordant_limit_is_the_exact_boundary(relaxed_tau):
     for n in (2, 8, 13, 25, 60, 300):
         limit = limits[n]
         if limit >= 0:
-            assert _tau(_with_inversions(n, limit)) >= floor
-        assert _tau(_with_inversions(n, limit + 1)) < floor
+            assert _tau_of_count(
+                n, _discordant_pairs(_with_inversions(n, limit))
+            ) >= floor
+        assert _tau_of_count(
+            n, _discordant_pairs(_with_inversions(n, limit + 1))
+        ) < floor
     if relaxed_tau == 1e-17:
         assert limits[8] == limits[12] == limits[13] == limits[25] == -1
     assert _discordant_limit(1, relaxed_tau) == _discordant_limit(0, relaxed_tau) == 0
