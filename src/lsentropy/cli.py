@@ -5,9 +5,10 @@ Five subcommands: ``rank`` scores every node at one entropic index,
 ranking stabilizes, ``states`` emits the q=0 / q=1 / stable orderings,
 and ``compare`` measures agreement between two previously emitted
 ranking files. Data goes to stdout (or --output), diagnostics to
-stderr. The exit status is 0 on success and 1 on an error; a reader that
-closes stdout early, as ``| head`` does, ends the run quietly with 141
-(128 + SIGPIPE).
+stderr. The exit status is 0 on success and 1 on an error, a stdout
+closed before the run starts included; a reader that closes stdout
+early, as ``| head`` does, ends the run quietly with 141 (128 + SIGPIPE).
+Input files are UTF-8, and a leading byte-order mark is dropped.
 
 Every subcommand returns one ``(fields, header, rows)`` result, and
 ``_emit`` alone writes it. A table (``rank``, ``sweep``: ``fields`` is
@@ -96,6 +97,8 @@ def _check_args(args: argparse.Namespace) -> None:
     jobs = getattr(args, "jobs", None)
     if jobs is not None and jobs < 1:
         raise ValueError("--jobs must be >= 1")
+    if args.output is None and sys.stdout is None:  # fd 1 was closed at start
+        raise ValueError("stdout is closed; write to a file with --output PATH")
     args.jobs = _job_count(jobs)
 
 
@@ -111,7 +114,7 @@ def _job_count(requested: int | None) -> int:
 
 def _load_graph(path: str) -> Graph:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             graph = load_edge_list(handle)
     except (EdgeListParseError, EmptyGraphError) as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -225,7 +228,7 @@ def cmd_states(args: argparse.Namespace) -> Result:
 
 def _load_ranking_csv(path: str, state: str) -> Ranking:
     """Read a ranking back from cmd_rank or cmd_states CSV output."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         rows = [row for row in csv.reader(handle) if row]
     if not rows:
         raise ValueError(f"{path}: empty CSV")

@@ -345,30 +345,26 @@ def refine_threshold(
 ) -> float | None:
     """Bisect between the last unstable and first stable grid point.
 
-    Returns a q known to reproduce the stable ranking, within
-    REFINE_RESOLUTION of the true onset (assuming stability is monotone in
-    q). Falls back to the reported p_value when it sits on the first
-    grid point; None when no threshold was detected.
+    ``detect_threshold`` decides each midpoint: it is stable when its
+    ranking and the stable one form a stable suffix. Returns a q known to
+    reproduce the stable ranking, within REFINE_RESOLUTION of the true
+    onset (assuming stability is monotone in q), and raises ValueError on
+    a bad ``relaxed_tau``. Falls back to the reported p_value when it sits
+    on the first grid point; None when no threshold was detected.
     """
     if report.p_value is None or report.stable_ranking is None:
         return None
     index = result.grid.index(report.p_value)
     if index == 0:
         return report.p_value
-    if relaxed_tau is not None:
-        labels = report.stable_ranking.labels
-        position = _positions(report.stable_ranking.order)
-        limit = _discordant_limit(len(labels), relaxed_tau)
+    if relaxed_tau is not None:  # checked even where no midpoint is scored
+        _discordant_limit(0, relaxed_tau)
     lo, hi = result.grid[index - 1], result.grid[index]
     while hi - lo > REFINE_RESOLUTION:
         mid = (lo + hi) / 2.0
-        candidate = rank(score_all(graph, mid))
-        if relaxed_tau is None:
-            stable = candidate == report.stable_ranking
-        else:
-            order = candidate.over(labels).order
-            stable = _discordant_pairs([position[i] for i in order]) <= limit
-        if stable:
+        rankings = (rank(score_all(graph, mid)), report.stable_ranking)
+        pair = SweepResult(grid=(mid, hi), score_tables=(), rankings=rankings)
+        if detect_threshold(pair, relaxed_tau=relaxed_tau).suffix_length == 2:
             hi = mid
         else:
             lo = mid
@@ -428,8 +424,11 @@ def _discordant_pairs(order: list[int]) -> int:
 
 
 def _positions(order: Sequence[int]) -> list[int]:
-    """Inverse permutation: the place of each id in ``order``."""
-    return sorted(range(len(order)), key=order.__getitem__)
+    """Inverse permutation, by one O(n) scatter: each id's place in ``order``."""
+    positions = [0] * len(order)
+    for place, i in enumerate(order):
+        positions[i] = place
+    return positions
 
 
 def _kendall_tau(a: Sequence[int], b: Sequence[int]) -> float:

@@ -413,6 +413,24 @@ def test_compare_reversed_rank_files(capsys, tmp_path):
     assert float(_rows(out)[1][0]) == pytest.approx(-1.0)
 
 
+def test_compare_reads_a_rank_csv_with_a_byte_order_mark(capsys, karate_path, tmp_path):
+    paths = {}
+    for q in ("0", "1"):
+        paths[q] = tmp_path / f"q{q}.csv"
+        argv = ["rank", "--input", karate_path, "--q", q, "--output", str(paths[q])]
+        assert main(argv) == 0
+    bom_path = tmp_path / "q1-bom.csv"
+    bom_path.write_bytes(b"\xef\xbb\xbf" + paths["1"].read_bytes())
+    capsys.readouterr()
+    for pair, bom_pair in (
+        ((paths["0"], paths["1"]), (paths["0"], bom_path)),
+        ((paths["1"], paths["0"]), (bom_path, paths["0"])),
+    ):
+        expected = _run(capsys, "compare", *map(str, pair))
+        assert expected[0] == 0
+        assert _run(capsys, "compare", *map(str, bom_pair)) == expected
+
+
 def test_compare_states_q0_vs_q1(capsys, karate_path, karate, tmp_path):
     states_path = tmp_path / "states.csv"
     assert main(
@@ -819,6 +837,22 @@ def test_self_loops_warn_but_do_not_fail(capsys, tmp_path):
     assert {row[1] for row in rows} == {"1"}
 
 
+@pytest.mark.parametrize(
+    "argv", [["rank", "--q", "1"], ["threshold"]], ids=["rank", "threshold"]
+)
+def test_edge_list_with_a_byte_order_mark_reads_as_without(
+    capsys, karate_path, tmp_path, argv
+):
+    """A leading UTF-8 BOM is not part of the first label."""
+    bom_path = tmp_path / "karate-bom.edges"
+    bom_path.write_bytes(b"\xef\xbb\xbf" + Path(karate_path).read_bytes())
+    outputs = [
+        _run(capsys, *argv, "--input", path) for path in (karate_path, str(bom_path))
+    ]
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+
+
 def test_missing_input_file(capsys, tmp_path):
     code, out, err = _run(
         capsys, "rank", "--input", str(tmp_path / "absent.edges"), "--q", "1"
@@ -895,6 +929,30 @@ def test_closed_stdout_pipe_exits_141_quietly(jobs, tmp_path):
     finally:
         proc.kill()  # only if it outlived the timeout
     assert (proc.returncode, stderr) == (141, b"")
+
+
+@pytest.mark.parametrize("output", [False, True], ids=["stdout", "output-file"])
+def test_stdout_closed_at_start_is_one_error_line(output, karate_path, tmp_path):
+    """With fd 1 closed before the run, Python's ``sys.stdout`` is None: a
+    run that writes there exits 1 with one ``error:`` line, and one that
+    writes to --output runs as usual."""
+    argv = ["rank", "--q", "1", "--input", karate_path]
+    if output:
+        argv += ["--output", str(tmp_path / "rank.csv")]
+    command, env = _cli_command(*argv)
+    proc = subprocess.run(
+        ["/bin/sh", "-c", 'exec "$@" >&-', "sh", *command], capture_output=True, env=env
+    )
+    if output:
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        written = (tmp_path / "rank.csv").read_bytes()
+        assert written.startswith(b"label,degree,entropy,rank\n")
+    else:
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "--output" in lines[0]
 
 
 def test_json_echoes_an_input_path_that_is_not_utf8(tmp_path, karate_path):

@@ -466,6 +466,16 @@ def test_refine_without_threshold_returns_none():
     assert refine_threshold(g, result, report) is None
 
 
+def test_refine_rejects_a_bad_tolerance_with_nothing_to_bisect():
+    # p_value 0.05 lies above the first grid point, within REFINE_RESOLUTION
+    # of it, so no midpoint is scored; the tolerance is refused all the same.
+    result = _fake_sweep((0.0, 0.05, 0.1), [("a", "b"), ("b", "a"), ("b", "a")])
+    report = detect_threshold(result)
+    assert report.p_value == 0.05
+    with pytest.raises(ValueError, match="relaxed tau"):
+        refine_threshold(None, result, report, relaxed_tau=0.5)
+
+
 def test_refine_narrows_between_grid_points(karate):
     # coarse grid: stability is only known somewhere inside (0, 9]
     result = sweep(karate, (0.0, 9.0, 10.0))
