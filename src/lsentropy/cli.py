@@ -8,7 +8,9 @@ ranking files. Data goes to stdout (or --output), diagnostics to
 stderr. The exit status is 0 on success and 1 on an error, a stdout
 closed before the run starts included; a reader that closes stdout
 early, as ``| head`` does, ends the run quietly with 141 (128 + SIGPIPE).
-Input files are UTF-8, and a leading byte-order mark is dropped.
+Input files are UTF-8, and a leading byte-order mark is dropped; a file
+that is not is one error naming it. ``threshold`` and ``states`` check
+their grid rules, like the grid itself, before any file is read.
 
 Every subcommand returns one ``(fields, header, rows)`` result, and
 ``_emit`` alone writes it. A table (``rank``, ``sweep``: ``fields`` is
@@ -43,8 +45,9 @@ it defaults to, and is capped at, the CPUs this process may use.
 ``sweep`` and ``states`` score every grid point. ``threshold`` scores
 the grid from its top down, in blocks of about 2 * jobs points, as
 detection reads them: past the threshold the ranking no longer changes,
-so detection reads only the stable suffix and the point below it, and
-scoring stops with the block that holds that point.
+so detection reads the rankings once, from the top, through the stable
+suffix and the point below it, and scoring stops with the block that
+holds that point.
 """
 from __future__ import annotations
 
@@ -54,9 +57,8 @@ import json
 import math
 import os
 import sys
-from collections.abc import Sequence
-from itertools import chain, repeat
-from typing import IO, Iterable
+from itertools import chain, pairwise, repeat
+from typing import IO, Iterable, Iterator
 
 from ._workers import forked_map
 from .graph import EdgeListParseError, EmptyGraphError, Graph, load_edge_list
@@ -66,6 +68,8 @@ from .ranking import (
     REFINE_RESOLUTION,
     Ranking,
     SweepResult,
+    check_detection_grid,
+    check_three_states_grid,
     compare_rankings,
     detect_threshold,
     parse_grid,
@@ -112,12 +116,22 @@ def _job_count(requested: int | None) -> int:
     return cpus if requested is None else min(requested, cpus)
 
 
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> ValueError:
+    """The error for an input file that is not UTF-8. The decoder's
+    position counts from the start of its current chunk, not of the file,
+    so it is left out."""
+    byte = exc.object[exc.start]
+    return ValueError(f"{path}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})")
+
+
 def _load_graph(path: str) -> Graph:
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
             graph = load_edge_list(handle)
     except (EdgeListParseError, EmptyGraphError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     if graph.self_loops_dropped:
         print(
             f"warning: {path}: dropped {graph.self_loops_dropped} self-loop edge(s)",
@@ -160,40 +174,29 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
     return None, ("q", "label", "entropy", "rank"), rows
 
 
-class _RankedFromTop(Sequence):
-    """The rankings of ``graph`` at each point of ``grid``, each scored on
-    first use, from the top of the grid down.
-
-    Reading point k scores every block from the top down to k's: blocks
-    of 2 * jobs points, each one ``sweep`` over ``jobs`` processes, of
-    which only the rankings are kept. Where the grid's length would leave
-    one point for the bottom block, the top block takes it instead, so
-    reading the top m >= 2 points scores fewer than m + 2 * jobs.
+class _RankedFromTop:
+    """The rankings of ``graph`` at each point of ``grid``, scored as
+    ``reversed()`` reads them, from the top of the grid down: blocks of
+    2 * jobs points, each one ``sweep`` over ``jobs`` processes. Where the
+    grid's length would leave one point for the bottom block, the top
+    block takes it instead, so reading the top m >= 2 points scores fewer
+    than m + 2 * jobs. Only the block being read is held. Each read
+    scores the grid anew, so it is read once: detection is its only reader.
     """
 
     def __init__(self, graph: Graph, grid: tuple[float, ...], jobs: int):
         self._graph, self._grid, self._jobs = graph, grid, jobs
-        self._rankings: list[Ranking | None] = [None] * len(grid)
-        self._scored_from = len(grid)  # the lowest scored point
-        size = 2 * jobs
+
+    def __reversed__(self) -> Iterator[Ranking]:
+        graph, grid, size = self._graph, self._grid, 2 * self._jobs
         top = len(grid) - size - (len(grid) % size == 1)
-        self._block_starts = chain(range(top, 0, -size), [0])
-
-    def __len__(self) -> int:
-        return len(self._grid)
-
-    def __getitem__(self, k: int) -> Ranking:
-        k = range(len(self._grid))[k]  # IndexError out of range, like a tuple's
-        while k < self._scored_from:
-            lo, hi = next(self._block_starts), self._scored_from
-            block = sweep(self._graph, self._grid[lo:hi], jobs=self._jobs)
-            self._rankings[lo:hi] = block.rankings
-            self._scored_from = lo
-        return self._rankings[k]
+        for hi, lo in pairwise(chain([len(grid)], range(top, 0, -size), [0])):
+            yield from reversed(sweep(graph, grid[lo:hi], jobs=self._jobs).rankings)
 
 
 def cmd_threshold(args: argparse.Namespace) -> Result:
     grid = parse_grid(args.grid)
+    check_detection_grid(grid)
     graph = _load_graph(args.input)
     rankings = _RankedFromTop(graph, grid, args.jobs)
     result = SweepResult(grid=grid, score_tables=(), rankings=rankings)
@@ -216,6 +219,7 @@ def cmd_threshold(args: argparse.Namespace) -> Result:
 
 def cmd_states(args: argparse.Namespace) -> Result:
     grid = parse_grid(args.grid)
+    check_three_states_grid(grid)
     graph = _load_graph(args.input)
     states = three_states(graph, grid, relaxed_tau=args.relaxed_tau, jobs=args.jobs)
     fields, rows = {}, []
@@ -228,8 +232,11 @@ def cmd_states(args: argparse.Namespace) -> Result:
 
 def _load_ranking_csv(path: str, state: str) -> Ranking:
     """Read a ranking back from cmd_rank or cmd_states CSV output."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row]
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+            rows = [row for row in csv.reader(handle) if row]
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     if not rows:
         raise ValueError(f"{path}: empty CSV")
     header = tuple(rows[0])

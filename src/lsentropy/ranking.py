@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, InvalidOperation, Overflow, localcontext
 from functools import lru_cache
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, compress, count, repeat, takewhile
 import math
 from typing import Iterable, Sequence
 
@@ -153,8 +153,8 @@ class SweepResult:
     """Score tables and rankings for each point of a q grid.
 
     ``sweep`` gives tuples of both. Detection and refine read only
-    ``grid`` and ``rankings``, so any sequence of rankings will do there,
-    one that scores its points on first use included.
+    ``grid`` and ``rankings``, and ``rankings`` only through ``reversed()``,
+    so rankings scored as they are read from the top down will do there.
     """
 
     grid: tuple[float, ...]
@@ -264,48 +264,52 @@ def sweep(graph: Graph, grid, jobs: int = 1) -> SweepResult:
     return SweepResult(grid=grid, score_tables=tuple(tables), rankings=tuple(rankings))
 
 
+def check_detection_grid(grid: Sequence[float]) -> None:
+    """Refuse a grid ``detect_threshold`` cannot decide: it needs 2 points."""
+    if len(grid) < 2:
+        raise ValueError("threshold detection needs a sweep of >= 2 grid points")
+
+
 def detect_threshold(
     result: SweepResult, relaxed_tau: float | None = None
 ) -> ThresholdReport:
     """Find the smallest grid q whose ranking suffix is stable.
 
-    Exact mode (default) demands the suffix rankings be identical. The
-    relaxed mode instead accepts a suffix whose rankings agree pairwise
-    to Kendall tau >= 1 - relaxed_tau, which tolerates sporadic adjacent
-    swaps. A single final grid point never counts: at least two agreeing
-    points are required, otherwise p_value is None.
+    Exact mode (default) demands the suffix rankings be identical to the
+    last. The relaxed mode instead accepts a suffix whose rankings agree
+    pairwise to Kendall tau >= 1 - relaxed_tau, which tolerates sporadic
+    adjacent swaps. A single final grid point never counts: at least two
+    agreeing points are required, otherwise p_value is None. The rankings
+    are read through one ``reversed()``, down to the one below the suffix.
 
     The relaxed rule is decided on discordant-pair counts, which form a
     metric on rankings: each candidate's count to the ranking after it
     bounds its count to every older suffix member by the triangle
     inequality, and only pairs those bounds leave undecided are counted.
     """
-    if len(result.grid) < 2:
-        raise ValueError("threshold detection needs a sweep of >= 2 grid points")
-    rankings = result.rankings
-    last = len(rankings) - 1
-    start = last
+    check_detection_grid(result.grid)
+    from_top = reversed(result.rankings)
+    stable = next(from_top)
+    suffix_length = 1
     if relaxed_tau is None:
-        while start > 0 and rankings[start - 1] == rankings[start]:
-            start -= 1
+        suffix_length += sum(1 for _ in takewhile(stable.__eq__, from_top))
     else:
-        labels = rankings[last].labels
+        labels = stable.labels
         limit = _discordant_limit(len(labels), relaxed_tau)
-        order = rankings[last].order
-        positions = []  # of rankings[start:]
-        upper = []  # bounds on each position's count from rankings[start]
-        while start > 0:
+        order = stable.order
+        positions = []  # of the suffix's rankings
+        upper = []  # bounds on each one's count from the suffix's lowest ranking
+        for ranking in from_top:
             positions.append(_positions(order))
             upper.append(0)
-            order = rankings[start - 1].over(labels).order
+            order = ranking.over(labels).order
             if not _within_limit(order, positions, upper, limit):
                 break
-            start -= 1
-    suffix_length = len(rankings) - start
+            suffix_length += 1
     if suffix_length >= 2:
         return ThresholdReport(
-            p_value=result.grid[start],
-            stable_ranking=rankings[last],
+            p_value=result.grid[-suffix_length],
+            stable_ranking=stable,
             suffix_length=suffix_length,
         )
     return ThresholdReport(p_value=None, stable_ranking=None, suffix_length=suffix_length)
@@ -371,14 +375,19 @@ def refine_threshold(
     return hi
 
 
+def check_three_states_grid(grid: Sequence[float]) -> None:
+    """Refuse a grid ``three_states`` cannot read: it needs q=0 and q=1."""
+    if 0.0 not in grid or 1.0 not in grid:
+        raise ValueError("three-states grid must contain q=0 and q=1")
+
+
 def three_states(
     graph: Graph, grid, relaxed_tau: float | None = None, jobs: int = 1
 ) -> ThreeStates:
     """Rankings at q=0 and q=1 plus the detected stable ranking, from a
     ``sweep`` over ``jobs`` processes."""
     grid = tuple(float(q) for q in grid)
-    if 0.0 not in grid or 1.0 not in grid:
-        raise ValueError("three-states grid must contain q=0 and q=1")
+    check_three_states_grid(grid)
     result = sweep(graph, grid, jobs)
     report = detect_threshold(result, relaxed_tau=relaxed_tau)
     return ThreeStates(

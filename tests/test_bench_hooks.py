@@ -4,8 +4,9 @@
 wrappers and probes ``Graph(labels=, adjacency=)`` and
 ``entropy.local_degree_distribution`` after the run. ``perfbench/tests``
 never starts it, so a renamed or deleted hook would break ``--trace 1``
-unseen. Each case runs it on karate in a subprocess and checks its exit
-status, its output bytes against an untraced run, and its span names.
+unseen. Each case runs it in a subprocess, on karate or on a 12-node
+cycle, and checks its exit status, its output bytes against an untraced
+run, and its span names.
 """
 import json
 import os
@@ -27,6 +28,17 @@ CASES = {
             "graph.load", "ranking.sweep", "entropy.score", "ranking.rank",
             "ranking.detect_relaxed", "ranking.refine", "graph.validate",
             "entropy.share", "ranking.detect_exact", "ranking.compare",
+        },
+    ),
+    # Every ranking of the cycle is the same, so threshold scores the whole
+    # 5-point grid, and the probe detects over the block scored last, which
+    # must hold 2 points or more.
+    "threshold-cycle": (
+        ["threshold", "--grid", "6:10:1", "--jobs", "2", "--input", "{cycle}"],
+        {
+            "graph.load", "ranking.sweep", "entropy.score", "ranking.rank",
+            "ranking.detect_exact", "ranking.detect_relaxed", "ranking.refine",
+            "ranking.compare", "graph.validate", "entropy.share",
         },
     ),
     "sweep": (
@@ -53,9 +65,11 @@ def inputs(tmp_path_factory):
     folder = tmp_path_factory.mktemp("inputs")
     karate = folder / "karate.edges"
     karate.write_text(karate_edges_path().read_text(encoding="utf-8"), encoding="utf-8")
+    cycle = folder / "cycle.edges"
+    cycle.write_text("".join(f"{i} {(i + 1) % 12}\n" for i in range(12)))
     rank = folder / "rank.csv"
     assert main(["rank", "--q", "0", "--input", str(karate), "--output", str(rank)]) == 0
-    return {"karate": str(karate), "rank": str(rank)}
+    return {"karate": str(karate), "cycle": str(cycle), "rank": str(rank)}
 
 
 @pytest.mark.parametrize("command", sorted(CASES))

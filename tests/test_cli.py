@@ -170,6 +170,23 @@ def test_oversized_grid_reported_before_input_is_read(capsys, tmp_path, command)
     )
 
 
+@pytest.mark.parametrize(
+    "command, grid, message",
+    [
+        ("states", "2,3", "three-states grid must contain q=0 and q=1"),
+        ("threshold", "5", "threshold detection needs a sweep of >= 2 grid points"),
+    ],
+    ids=["states", "threshold"],
+)
+def test_command_grid_rule_reported_before_input_is_read(
+    capsys, tmp_path, command, grid, message
+):
+    missing = str(tmp_path / "absent.edges")
+    code, out, err = _run(capsys, command, "--input", missing, "--grid", grid)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_threshold_complete_graph_stable_from_zero(capsys, k5_path):
     code, out, _ = _run(capsys, "threshold", "--input", k5_path)
     assert code == 0
@@ -311,6 +328,46 @@ def test_threshold_scores_only_the_blocks_detection_reads(
     suffix_length = int(dict(_rows(out)[1:])["suffix_length"])
     points = len(default_grid())
     assert sum(scored) <= min(points, suffix_length + 1) + 2 * jobs - 1, scored
+
+
+# (lo, hi) of each default-grid slice that threshold scores, in order.
+_THRESHOLD_SLICES = {
+    ("karate", 1): [(40, 43), (38, 40)],
+    ("karate", 2): [(39, 43), (35, 39)],
+    ("karate", 3): [(36, 43)],
+    ("cycle", 1): [
+        (40, 43), (38, 40), (36, 38), (34, 36), (32, 34), (30, 32), (28, 30),
+        (26, 28), (24, 26), (22, 24), (20, 22), (18, 20), (16, 18), (14, 16),
+        (12, 14), (10, 12), (8, 10), (6, 8), (4, 6), (2, 4), (0, 2),
+    ],
+    ("cycle", 2): [
+        (39, 43), (35, 39), (31, 35), (27, 31), (23, 27), (19, 23),
+        (15, 19), (11, 15), (7, 11), (3, 7), (0, 3),
+    ],
+    ("cycle", 3): [(36, 43), (30, 36), (24, 30), (18, 24), (12, 18), (6, 12), (0, 6)],
+}
+
+
+@pytest.mark.parametrize("graph, jobs", sorted(_THRESHOLD_SLICES))
+def test_threshold_scores_the_same_grid_slices_in_the_same_order(
+    capsys, monkeypatch, karate_path, cycle_path, graph, jobs
+):
+    """The blocks threshold scores, top block first: detection stops early
+    on karate and reads every point of the cycle."""
+    real_sweep = cli.sweep
+    scored = []
+
+    def recording_sweep(graph, grid, jobs=1):
+        scored.append(tuple(grid))
+        return real_sweep(graph, grid, jobs=jobs)
+
+    monkeypatch.setattr(cli, "sweep", recording_sweep)
+    monkeypatch.setattr(cli, "_job_count", lambda requested: requested)  # any CPU count
+    path = karate_path if graph == "karate" else cycle_path
+    code, _, err = _run(capsys, "threshold", "--input", path, "--jobs", str(jobs))
+    assert code == 0, err
+    grid = default_grid()
+    assert scored == [grid[lo:hi] for lo, hi in _THRESHOLD_SLICES[graph, jobs]]
 
 
 def test_states_karate_rows(capsys, karate_path):
@@ -851,6 +908,27 @@ def test_edge_list_with_a_byte_order_mark_reads_as_without(
     ]
     assert outputs[0][0] == 0
     assert outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("command", ["rank", "compare"])
+def test_input_that_is_not_utf8_is_one_error_line_naming_it(
+    capsys, karate_path, tmp_path, command
+):
+    """A byte that does not decode is reported against the file that holds
+    it; for compare, the second of two files."""
+    if command == "rank":
+        bad = tmp_path / "bad.edges"
+        bad.write_bytes(b"1 2\n2 \xff3\n")
+        argv = ["rank", "--q", "1", "--input", str(bad)]
+    else:
+        good, bad = tmp_path / "r.csv", tmp_path / "bad.csv"
+        assert main(["rank", "--q", "1", "--input", karate_path, "--output", str(good)]) == 0
+        bad.write_bytes(b"label,degree,entropy,rank\n\xff,1,0.500000,1\n")
+        argv = ["compare", str(good), str(bad)]
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert str(bad) in err and "Traceback" not in err
 
 
 def test_missing_input_file(capsys, tmp_path):

@@ -267,6 +267,39 @@ def test_threshold_requires_two_grid_points():
         detect_threshold(_fake_sweep((1.0,), [("a", "b")]))
 
 
+class _FromTopOnly:
+    """Rankings that can be read only through ``reversed()``; counts the
+    rankings pulled."""
+
+    def __init__(self, rankings):
+        self._rankings, self.pulled = rankings, 0
+
+    def __reversed__(self):
+        for ranking in reversed(self._rankings):
+            self.pulled += 1
+            yield ranking
+
+
+@pytest.mark.parametrize("relaxed_tau", (None, 0.05), ids=["exact", "relaxed"])
+def test_detection_reads_the_rankings_once_from_the_top(karate, relaxed_tau):
+    """Detection asks the rankings for ``reversed()`` alone, and pulls the
+    stable suffix and at most the one ranking below it."""
+    order = ("a", "b", "c")
+    results = [
+        sweep(karate, default_grid()),
+        sweep(karate, (0.0, 5.0, 10.0)),  # no stable suffix
+        _fake_sweep((0.0, 1.0, 2.0), [order] * 3),  # stable throughout
+    ]
+    for result in results:
+        from_top = _FromTopOnly(result.rankings)
+        report = detect_threshold(
+            SweepResult(grid=result.grid, score_tables=(), rankings=from_top),
+            relaxed_tau=relaxed_tau,
+        )
+        assert report == detect_threshold(result, relaxed_tau=relaxed_tau)
+        assert from_top.pulled <= report.suffix_length + 1
+
+
 def test_threshold_relaxed_tolerates_sporadic_adjacent_swaps():
     base = tuple(str(i) for i in range(30))
     orders = [
