@@ -8,9 +8,11 @@ ranking files. Data goes to stdout (or --output), diagnostics to
 stderr. The exit status is 0 on success and 1 on an error, a stdout
 closed before the run starts included; a reader that closes stdout
 early, as ``| head`` does, ends the run quietly with 141 (128 + SIGPIPE).
-Input files are UTF-8, and a leading byte-order mark is dropped; a file
-that is not is one error naming it. ``threshold`` and ``states`` check
-their grid rules, like the grid itself, before any file is read.
+Every input file is read through one reader, ``_reading``: it is UTF-8,
+a leading byte-order mark is dropped, and any error in its contents (a
+byte that does not decode, a malformed line, a repeated label) is one
+error naming it. ``threshold`` and ``states`` check their grid rules,
+like the grid itself, before any file is read.
 
 Every subcommand returns one ``(fields, header, rows)`` result, and
 ``_emit`` alone writes it. A table (``rank``, ``sweep``: ``fields`` is
@@ -29,14 +31,16 @@ with ``,`` and cuts its head and tail from the payload dumped with an
 empty ``rows``. A record (``threshold``, ``states``, ``compare``)
 carries its JSON ``fields`` and its CSV ``header`` and ``rows`` side by
 side, because the two formats order, name and spell them differently.
+One CSV-line writer, ``_csv_lines``, writes every CSV line outside a
+table block: a header, a record row, a label-list cell, a quoted label.
 Output is UTF-8 bytes whatever the locale; CSV has LF line endings and
 a header row. JSON output echoes as "config" the arguments each
 subparser's ``echo`` default names, never the output path or --jobs,
 which cannot affect the numbers: identical (input, parameters) must
 produce byte-identical output. A path byte that is not UTF-8 reaches the
 echo as a lone surrogate (0xff as U+DCFF), which JSON holds escaped.
-``compare`` re-indexes its second ranking into the first's labels once,
-as it loads them, so tau and the overlaps compare id orders.
+``compare`` passes both rankings as loaded to ``compare_rankings``,
+which re-indexes the second into the first's labels once.
 
 ``--jobs`` splits a grid command's q points, and a table's blocks, over
 that many processes forked from this one (``_workers.forked_map``);
@@ -57,11 +61,12 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from itertools import chain, pairwise, repeat
 from typing import IO, Iterable, Iterator
 
 from ._workers import forked_map
-from .graph import EdgeListParseError, EmptyGraphError, Graph, load_edge_list
+from .graph import Graph, load_edge_list
 from .ranking import (
     DEFAULT_GRID_SPEC,
     MAX_RELAXED_TAU,
@@ -116,22 +121,26 @@ def _job_count(requested: int | None) -> int:
     return cpus if requested is None else min(requested, cpus)
 
 
-def _not_utf8(path: str, exc: UnicodeDecodeError) -> ValueError:
-    """The error for an input file that is not UTF-8. The decoder's
-    position counts from the start of its current chunk, not of the file,
-    so it is left out."""
-    byte = exc.object[exc.start]
-    return ValueError(f"{path}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})")
+@contextmanager
+def _reading(path: str, newline: str | None = None) -> Iterator[IO[str]]:
+    """``path`` open as UTF-8 text, a leading byte-order mark dropped. Any
+    ValueError or csv.Error raised while it is read becomes one naming the
+    file; of a byte that does not decode, the decoder's position counts
+    from its current chunk, not from the file's start, so it is left out."""
+    try:
+        with open(path, encoding="utf-8-sig", newline=newline) as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        reason = f"not UTF-8 text (byte 0x{byte:02x}: {exc.reason})"
+        raise ValueError(f"{path}: {reason}") from None
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_graph(path: str) -> Graph:
-    try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            graph = load_edge_list(handle)
-    except (EdgeListParseError, EmptyGraphError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
+    with _reading(path) as handle:
+        graph = load_edge_list(handle)
     if graph.self_loops_dropped:
         print(
             f"warning: {path}: dropped {graph.self_loops_dropped} self-loop edge(s)",
@@ -152,12 +161,6 @@ class _Echo:
 def _csv_lines(rows: Iterable[Iterable]) -> list[str]:
     """Each row as one CSV line without a line terminator."""
     return list(map(csv.writer(_Echo(), lineterminator="").writerow, rows))
-
-
-def _label_line(labels: Iterable[str]) -> str:
-    """Labels as one CSV line, so that labels holding ',' or '"' read back
-    intact with ``next(csv.reader([line]))``."""
-    return _csv_lines([labels])[0]
 
 
 def cmd_rank(args: argparse.Namespace) -> Result:
@@ -213,7 +216,7 @@ def cmd_threshold(args: argparse.Namespace) -> Result:
         fields["refined_p_value"] = refined
         rows.append(("refined_p_value", "null" if refined is None else refined))
     rows.append(("suffix_length", report.suffix_length))
-    rows.append(("stable_top10", _label_line(top10) if top10 else "null"))
+    rows.append(("stable_top10", _csv_lines([top10])[0] if top10 else "null"))
     return fields, ("field", "value"), rows
 
 
@@ -226,47 +229,44 @@ def cmd_states(args: argparse.Namespace) -> Result:
     for state, row_name in _STATE_ROW_NAMES.items():
         order = getattr(states, f"order_{state}")
         fields[f"order_{state}"] = list(order.ordered_labels) if order else None
-        rows.append((row_name, _label_line(order.ordered_labels) if order else "none"))
+        rows.append((row_name, _csv_lines([order.ordered_labels])[0] if order else "none"))
     return fields, _STATES_HEADER, rows
 
 
 def _load_ranking_csv(path: str, state: str) -> Ranking:
-    """Read a ranking back from cmd_rank or cmd_states CSV output."""
+    """Read a ranking back from cmd_rank or cmd_states CSV output. A states
+    cell holds every label, so the field limit is lifted while it is read."""
+    limit = csv.field_size_limit(2**31 - 1)  # the most a 32-bit C long holds
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        with _reading(path, newline="") as handle:
             rows = [row for row in csv.reader(handle) if row]
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
-    if not rows:
-        raise ValueError(f"{path}: empty CSV")
-    header = tuple(rows[0])
-    if header == _RANK_HEADER:
-        try:
-            body = sorted(rows[1:], key=lambda row: int(row[3]))
-        except (IndexError, ValueError):
-            raise ValueError(f"{path}: malformed ranking row") from None
-        return Ranking(tuple(row[0] for row in body))
-    if header == _STATES_HEADER:
-        wanted = _STATE_ROW_NAMES[state]
-        for row in rows[1:]:
-            if len(row) == 2 and row[0] == wanted:
-                if row[1] == "none":
-                    raise ValueError(
-                        f"{path}: no stable ordering was detected in this file"
-                    )
-                return Ranking(tuple(next(csv.reader([row[1]]))))
-        raise ValueError(f"{path}: missing row {wanted!r}")
-    raise ValueError(
-        f"{path}: unrecognized header {','.join(header)!r}; "
-        "expected rank or states CSV"
-    )
+            if not rows:
+                raise ValueError("empty CSV")
+            header = tuple(rows[0])
+            if header == _RANK_HEADER:
+                try:
+                    body = sorted(rows[1:], key=lambda row: int(row[3]))
+                except (IndexError, ValueError):
+                    raise ValueError("malformed ranking row") from None
+                return Ranking(tuple(row[0] for row in body))
+            if header == _STATES_HEADER:
+                wanted = _STATE_ROW_NAMES[state]
+                for row in rows[1:]:
+                    if len(row) == 2 and row[0] == wanted:
+                        if row[1] == "none":
+                            raise ValueError("no stable ordering was detected in this file")
+                        return Ranking(tuple(next(csv.reader([row[1]]))))
+                raise ValueError(f"missing row {wanted!r}")
+            raise ValueError(
+                f"unrecognized header {','.join(header)!r}; expected rank or states CSV"
+            )
+    finally:
+        csv.field_size_limit(limit)
 
 
 def cmd_compare(args: argparse.Namespace) -> Result:
-    # Both rankings order a's labels from here on, so comparing them, and
-    # any detection over them, reads ids alone.
     ranking_a = _load_ranking_csv(args.input_a, args.state_a)
-    ranking_b = _load_ranking_csv(args.input_b, args.state_b).over(ranking_a.labels)
+    ranking_b = _load_ranking_csv(args.input_b, args.state_b)
     comparison = compare_rankings(ranking_a, ranking_b)
     fields = {
         "kendall_tau": comparison.kendall_tau,
@@ -287,7 +287,7 @@ def _emit(args: argparse.Namespace, fields, header, rows, handle: IO[bytes]) -> 
         text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
     else:
         lines = [header] if fields is None else [header, *rows]
-        text = "".join(map(csv.writer(_Echo(), lineterminator="\n").writerow, lines))
+        text = "".join(f"{line}\n" for line in _csv_lines(lines))
     if fields is not None:
         handle.write(text.encode(errors="backslashreplace"))
         return

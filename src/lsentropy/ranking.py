@@ -72,7 +72,10 @@ class ScoreTable:
 
 def _check_distinct(labels: tuple[str, ...]) -> None:
     if len(set(labels)) != len(labels):
-        raise ValueError("ranking contains duplicate labels")
+        seen: set[str] = set()
+        # set.add returns None, so this yields the first label seen twice.
+        repeated = next(label for label in labels if label in seen or seen.add(label))
+        raise ValueError(f"ranking contains duplicate labels, first {repeated!r}")
 
 
 @dataclass(frozen=True, init=False, eq=False)

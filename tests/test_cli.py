@@ -488,6 +488,79 @@ def test_compare_reads_a_rank_csv_with_a_byte_order_mark(capsys, karate_path, tm
         assert _run(capsys, "compare", *map(str, bom_pair)) == expected
 
 
+def test_compare_reads_a_states_csv_with_a_byte_order_mark(capsys, karate_path, tmp_path):
+    path = tmp_path / "states.csv"
+    assert main(["states", "--input", karate_path, "--output", str(path)]) == 0
+    bom_path = tmp_path / "states-bom.csv"
+    bom_path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    capsys.readouterr()
+    expected = _run(capsys, "compare", str(path), str(path), "--state-b", "stable")
+    assert expected[0] == 0
+    for pair in ((bom_path, path), (path, bom_path)):
+        argv = ["compare", *map(str, pair), "--state-b", "stable"]
+        assert _run(capsys, *argv) == expected
+
+
+def test_compare_reads_a_states_file_of_any_size(capsys, tmp_path):
+    """A states cell holds every label, past the csv module's default
+    field limit here (700 labels of 200 digits); the limit is restored."""
+    edges = tmp_path / "long.edges"
+    edges.write_text(
+        "".join(f"{i:0200d} {(i + 1) % 700:0200d}\n" for i in range(700))
+    )
+    states = tmp_path / "states.csv"
+    argv = ["states", "--input", str(edges), "--grid", "0,1,2", "--output", str(states)]
+    assert main(argv) == 0
+    assert states.stat().st_size > 3 * 131072
+    limit = csv.field_size_limit()
+    code, out, err = _run(
+        capsys, "compare", str(states), str(states), "--state-b", "stable"
+    )
+    assert csv.field_size_limit() == limit
+    assert (code, err) == (0, "")
+    rows = _rows(out)
+    assert rows[0] == ["kendall_tau", "top5_overlap", "top10_overlap"]
+    assert len(rows) == 2
+
+
+@pytest.mark.parametrize(
+    "name, text, bad_first",
+    [
+        ("dup.csv", "label,degree,entropy,rank\nx,1,0,1\ndupe,1,0,2\ndupe,1,0,3\n", False),
+        ("dup-states.csv", 'state,order\nOrder_q0,"x,dupe,dupe"\n', True),
+    ],
+    ids=["rank-second", "states-first"],
+)
+def test_compare_duplicate_label_is_one_error_line_naming_file_and_label(
+    capsys, tmp_path, name, text, bad_first
+):
+    good = tmp_path / "ok.csv"
+    good.write_text("label,degree,entropy,rank\nx,1,0.5,1\ndupe,1,0.5,2\n")
+    bad = tmp_path / name
+    bad.write_text(text)
+    pair = (bad, good) if bad_first else (good, bad)
+    code, out, err = _run(capsys, "compare", *map(str, pair))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert str(bad) in err and "dupe" in err
+
+
+def test_compare_label_holding_a_nul_byte_is_read_or_refused_naming_the_file(
+    capsys, tmp_path
+):
+    """The csv module refuses a NUL byte before Python 3.11 and reads it
+    from then on; either way the result is output or one error line."""
+    path = tmp_path / "nul.csv"
+    path.write_text("label,degree,entropy,rank\na\0b,1,0.5,1\nc,1,0.5,2\n")
+    code, out, err = _run(capsys, "compare", str(path), str(path))
+    if code == 0:
+        assert _rows(out)[1] == ["1.0", "1.0", "1.0"] and err == ""
+    else:
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert str(path) in err
+
+
 def test_compare_states_q0_vs_q1(capsys, karate_path, karate, tmp_path):
     states_path = tmp_path / "states.csv"
     assert main(
@@ -910,21 +983,26 @@ def test_edge_list_with_a_byte_order_mark_reads_as_without(
     assert outputs[1] == outputs[0]
 
 
-@pytest.mark.parametrize("command", ["rank", "compare"])
+@pytest.mark.parametrize("command", ["rank", "compare", "compare-states"])
 def test_input_that_is_not_utf8_is_one_error_line_naming_it(
     capsys, karate_path, tmp_path, command
 ):
     """A byte that does not decode is reported against the file that holds
-    it; for compare, the second of two files."""
+    it; for compare, the second of two files, or a states file first."""
     if command == "rank":
         bad = tmp_path / "bad.edges"
         bad.write_bytes(b"1 2\n2 \xff3\n")
         argv = ["rank", "--q", "1", "--input", str(bad)]
-    else:
+    elif command == "compare":
         good, bad = tmp_path / "r.csv", tmp_path / "bad.csv"
         assert main(["rank", "--q", "1", "--input", karate_path, "--output", str(good)]) == 0
         bad.write_bytes(b"label,degree,entropy,rank\n\xff,1,0.500000,1\n")
         argv = ["compare", str(good), str(bad)]
+    else:
+        good, bad = tmp_path / "r.csv", tmp_path / "bad-states.csv"
+        assert main(["rank", "--q", "1", "--input", karate_path, "--output", str(good)]) == 0
+        bad.write_bytes(b'state,order\nOrder_q0,"1,\xff"\n')
+        argv = ["compare", str(bad), str(good)]
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: "), err

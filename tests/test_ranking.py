@@ -97,6 +97,11 @@ def test_ranking_rejects_duplicates():
         Ranking(("a", "a"))
 
 
+def test_duplicate_error_names_the_first_repeated_label():
+    with pytest.raises(ValueError, match="duplicate labels.*'b'"):
+        Ranking(("a", "b", "c", "b", "a"))
+
+
 def test_rankings_equal_however_built(karate):
     ranked = rank(score_all(karate, 0.0))
     built = Ranking(ranked.ordered_labels)
