@@ -234,7 +234,8 @@ def cmd_states(args: argparse.Namespace) -> Result:
 
 
 def _load_ranking_csv(path: str, state: str) -> Ranking:
-    """Read a ranking back from cmd_rank or cmd_states CSV output. A states
+    """Read a ranking back from cmd_rank or cmd_states CSV output: rows in
+    any order, ranked 1..n once each or naming each state once. A states
     cell holds every label, so the field limit is lifted while it is read."""
     limit = csv.field_size_limit(2**31 - 1)  # the most a 32-bit C long holds
     try:
@@ -245,18 +246,24 @@ def _load_ranking_csv(path: str, state: str) -> Ranking:
             header = tuple(rows[0])
             if header == _RANK_HEADER:
                 try:
-                    body = sorted(rows[1:], key=lambda row: int(row[3]))
+                    by_rank = {int(row[3]): row[0] for row in rows[1:]}
                 except (IndexError, ValueError):
                     raise ValueError("malformed ranking row") from None
-                return Ranking(tuple(row[0] for row in body))
+                ranks = range(1, len(rows))
+                if by_rank.keys() != set(ranks):
+                    raise ValueError(f"rank column does not hold 1..{len(ranks)} once each")
+                return Ranking(map(by_rank.__getitem__, ranks))
             if header == _STATES_HEADER:
-                wanted = _STATE_ROW_NAMES[state]
+                named = {}  # each state's row; a row already there is another list
                 for row in rows[1:]:
-                    if len(row) == 2 and row[0] == wanted:
-                        if row[1] == "none":
-                            raise ValueError("no stable ordering was detected in this file")
-                        return Ranking(tuple(next(csv.reader([row[1]]))))
-                raise ValueError(f"missing row {wanted!r}")
+                    if len(row) == 2 and named.setdefault(row[0], row) is not row:
+                        raise ValueError(f"state {row[0]!r} appears twice")
+                wanted = _STATE_ROW_NAMES[state]
+                if wanted not in named:
+                    raise ValueError(f"missing row {wanted!r}")
+                if named[wanted][1] == "none":
+                    raise ValueError("no stable ordering was detected in this file")
+                return Ranking(tuple(next(csv.reader([named[wanted][1]]))))
             raise ValueError(
                 f"unrecognized header {','.join(header)!r}; expected rank or states CSV"
             )

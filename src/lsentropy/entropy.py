@@ -102,21 +102,13 @@ def local_degree_distribution(graph: Graph, node: int) -> tuple[float, ...]:
     Raises:
         ValueError: ``node`` is out of range or isolated (degree 0).
     """
-    shares = _ego_distribution(graph, node)
-    if not shares:
+    if not 0 <= node < graph.node_count:
+        raise ValueError(f"node id {node} out of range [0, {graph.node_count})")
+    if graph.degrees[node] == 0:
         raise ValueError(
             f"node {graph.labels[node]!r} is isolated and has no "
             "degree distribution"
         )
-    return shares
-
-
-def _ego_distribution(graph: Graph, node: int) -> tuple[float, ...]:
-    """``local_degree_distribution``, but () for an isolated ``node``."""
-    if not 0 <= node < graph.node_count:
-        raise ValueError(f"node id {node} out of range [0, {graph.node_count})")
-    if graph.degrees[node] == 0:
-        return ()
     degrees = [graph.degrees[m] for m in sorted((node, *graph.adjacency[node]))]
     total = sum(degrees)
     return tuple(d / total for d in degrees)
@@ -129,10 +121,9 @@ def local_structure_entropy(graph: Graph, node: int, q: float) -> float:
     The library's own shares skip ``tsallis_entropy``'s distribution check.
     """
     terms, entropies = _tsallis_at(_checked_entropic_index(q))
-    shares = _ego_distribution(graph, node)
-    if not shares:
+    if 0 <= node < graph.node_count and graph.degrees[node] == 0:
         return 0.0
-    [entropy] = entropies([math.fsum(terms(shares))])
+    [entropy] = entropies([math.fsum(terms(local_degree_distribution(graph, node)))])
     return entropy
 
 

@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, InvalidOperation, Overflow, localcontext
 from functools import lru_cache
-from itertools import accumulate, compress, count, repeat, takewhile
+from itertools import accumulate, compress, count, repeat
 import math
 from typing import Iterable, Sequence
 
@@ -278,37 +278,32 @@ def detect_threshold(
 ) -> ThresholdReport:
     """Find the smallest grid q whose ranking suffix is stable.
 
-    Exact mode (default) demands the suffix rankings be identical to the
-    last. The relaxed mode instead accepts a suffix whose rankings agree
-    pairwise to Kendall tau >= 1 - relaxed_tau, which tolerates sporadic
-    adjacent swaps. A single final grid point never counts: at least two
-    agreeing points are required, otherwise p_value is None. The rankings
-    are read through one ``reversed()``, down to the one below the suffix.
-
-    The relaxed rule is decided on discordant-pair counts, which form a
-    metric on rankings: each candidate's count to the ranking after it
-    bounds its count to every older suffix member by the triangle
-    inequality, and only pairs those bounds leave undecided are counted.
+    Each two suffix rankings must be within a limit of discordant pairs:
+    0 by default, so that they are identical, and ``_discordant_limit``'s
+    with ``relaxed_tau``, so that they agree to Kendall tau >= 1 -
+    relaxed_tau, tolerating sporadic adjacent swaps. A single final grid
+    point never counts: p_value is None unless two points agree. The
+    rankings are read through one ``reversed()``, down to the one below
+    the suffix, each over the last one's labels (ValueError for another
+    label set). One identical to the ranking after it agrees as that one
+    does, uncounted; ``_within_limit`` decides the others.
     """
     check_detection_grid(result.grid)
     from_top = reversed(result.rankings)
     stable = next(from_top)
+    labels, previous = stable.labels, stable.order
+    limit = 0 if relaxed_tau is None else _discordant_limit(len(labels), relaxed_tau)
+    positions: list[list[int]] = []  # of the suffix's rankings that differ
+    upper: list[int] = []  # bounds on each one's count from ``previous``
     suffix_length = 1
-    if relaxed_tau is None:
-        suffix_length += sum(1 for _ in takewhile(stable.__eq__, from_top))
-    else:
-        labels = stable.labels
-        limit = _discordant_limit(len(labels), relaxed_tau)
-        order = stable.order
-        positions = []  # of the suffix's rankings
-        upper = []  # bounds on each one's count from the suffix's lowest ranking
-        for ranking in from_top:
-            positions.append(_positions(order))
-            upper.append(0)
-            order = ranking.over(labels).order
-            if not _within_limit(order, positions, upper, limit):
-                break
-            suffix_length += 1
+    for ranking in from_top:
+        order = ranking.over(labels).order
+        if order != previous and not _within_limit(
+            order, previous, positions, upper, limit
+        ):
+            break
+        previous = order
+        suffix_length += 1
     if suffix_length >= 2:
         return ThresholdReport(
             p_value=result.grid[-suffix_length],
@@ -319,19 +314,24 @@ def detect_threshold(
 
 
 def _within_limit(
-    order: array, positions: list[list[int]], upper: list[int], limit: int
+    order: array, previous: array, positions: list, upper: list, limit: int
 ) -> bool:
-    """Whether ranking ``order`` is within ``limit`` discordant pairs of
-    every ranking in ``positions``.
+    """Whether ranking ``order``, which differs from ``previous``, is within
+    ``limit`` discordant pairs of it and of every ranking in ``positions``.
 
-    On entry ``upper[i]`` bounds the count from the last ranking in
-    ``positions`` to ranking i. The triangle inequality bounds the count
-    from ``order`` by that plus the step between the two, so only rankings
-    whose bound exceeds the limit are counted exactly; on True, ``upper``
-    bounds the counts from ``order``. A lower bound never decides alone:
-    every count on entry is within the limit, so the count from ``order``
-    can exceed it by the triangle inequality only when the step does.
+    Differing permutations hold a discordant pair, so a limit below 1
+    decides False uncounted. Else ``previous``'s positions join
+    ``positions``, where ``upper[i]`` bounds ranking i's count from
+    ``previous``. Counts form a metric, so that bound plus the step to
+    ``order`` bounds ranking i's count from ``order``, and only rankings
+    whose bound exceeds the limit are counted; on True, ``upper`` holds
+    these bounds. A lower bound never decides alone: every count on entry
+    is within the limit, so ``order``'s can pass it only where the step does.
     """
+    if limit < 1:
+        return False
+    positions.append(_positions(previous))
+    upper.append(0)
     step = _discordant_pairs([positions[-1][i] for i in order])
     if step > limit:
         return False
@@ -473,6 +473,7 @@ def _discordant_limit(n: int, relaxed_tau: float) -> int:
     limit, and ``count <= limit`` holds exactly when that count's tau
     passes. -1 when no count passes: a floor that rounds to 1.0 fails
     identical rankings at the n where their tau reads just below 1.
+    Detection agrees those before it reads the limit, as in exact mode.
     """
     relaxed_tau = float(relaxed_tau)
     if not 0.0 < relaxed_tau <= MAX_RELAXED_TAU:

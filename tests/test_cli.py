@@ -650,10 +650,54 @@ def test_compare_missing_stable_row_fails(capsys, tmp_path):
     assert code == 1 and "no stable ordering" in err
 
 
+def _compare_refuses(capsys, path, *options):
+    """``lse compare path path`` exits 1 with one error line naming
+    ``path``; returns that line."""
+    code, out, err = _run(capsys, "compare", str(path), str(path), *options)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: "), err
+    return err
+
+
+@pytest.mark.parametrize(
+    "ranks",
+    [(7, 7, -3), (1, 1, 2), (1, 2, 4), (0, 1, 2), (2, 3, 4)],
+    ids=["repeated-and-negative", "repeated", "past-n", "zero", "shifted"],
+)
+def test_compare_refuses_a_rank_column_other_than_1_to_n(capsys, tmp_path, ranks):
+    path = tmp_path / "ranks.csv"
+    rows = "".join(f"{label},1,0.5,{r}\n" for label, r in zip("abc", ranks))
+    path.write_text("label,degree,entropy,rank\n" + rows)
+    assert "1..3" in _compare_refuses(capsys, path)
+
+
+def test_compare_reads_rank_rows_in_any_order(capsys, tmp_path):
+    path = tmp_path / "shuffled.csv"
+    path.write_text("label,degree,entropy,rank\nb,1,0.5,2\nc,1,0.5,3\na,1,0.5,1\n")
+    ordered = tmp_path / "ordered.csv"
+    ordered.write_text("label,degree,entropy,rank\na,1,0.5,1\nb,1,0.5,2\nc,1,0.5,3\n")
+    code, out, _ = _run(capsys, "compare", str(path), str(ordered))
+    assert code == 0 and _rows(out)[1] == ["1.0", "1.0", "1.0"]
+
+
+@pytest.mark.parametrize("state", ["q0", "q1"])
+def test_compare_refuses_a_state_named_twice(capsys, tmp_path, state):
+    path = tmp_path / "states.csv"
+    path.write_text('state,order\nOrder_q0,"a,b,c"\nOrder_q1,"a,b,c"\nOrder_q0,"c,b,a"\n')
+    err = _compare_refuses(capsys, path, "--state-a", state, "--state-b", state)
+    assert "'Order_q0'" in err
+
+
+def test_compare_refuses_a_states_file_without_the_requested_row(capsys, tmp_path):
+    path = tmp_path / "states.csv"
+    path.write_text('state,order\nOrder_q1,"a,b"\n')
+    assert "'Order_q0'" in _compare_refuses(capsys, path)
+
+
 @pytest.mark.parametrize(
     "text",
-    ["label,degree,entropy,rank\n", 'state,order\nOrder_q0,""\nOrder_q1,a\n'],
-    ids=["header-only-rank", "empty-states-cell"],
+    ["", "label,degree,entropy,rank\n", 'state,order\nOrder_q0,""\nOrder_q1,a\n'],
+    ids=["empty-file", "header-only-rank", "empty-states-cell"],
 )
 def test_compare_rejects_empty_rankings(capsys, tmp_path, text):
     path = tmp_path / "empty.csv"

@@ -108,6 +108,21 @@ def test_graph_rejects_duplicate_labels():
         Graph(labels=("a", "a"), adjacency=((1,), (0,)))
 
 
+@pytest.mark.parametrize(
+    "labels, adjacency, message",
+    [
+        (("a", "b"), ((1,),), "labels and adjacency lengths differ"),
+        (("a", "b"), ((1, 1), (0,)), "adjacency of node 0 has duplicates"),
+        (("a", "b"), ((2,), (0,)), "neighbour id 2 out of range"),
+        (("a", "b"), ((-1,), (0,)), "neighbour id -1 out of range"),
+    ],
+    ids=["lengths", "repeated-neighbour", "past-the-end", "negative"],
+)
+def test_graph_rejects_malformed_adjacency(labels, adjacency, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Graph(labels=labels, adjacency=adjacency)
+
+
 def test_graph_rejects_self_loop_in_adjacency():
     with pytest.raises(ValueError):
         Graph(labels=("a",), adjacency=((0,),))

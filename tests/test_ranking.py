@@ -334,13 +334,15 @@ def test_threshold_relaxed_tau_bounds():
 
 
 def _relaxed_all_pairs(result, relaxed_tau):
-    """The relaxed rule with every suffix pair put through tau's float."""
+    """The relaxed rule with every suffix pair identical or put through
+    tau's float."""
     floor = 1.0 - relaxed_tau
     rankings = result.rankings
     orders = [ranking.over(rankings[-1].labels).order for ranking in rankings]
     start = len(rankings) - 1
     while start > 0 and all(
-        _kendall_tau(orders[start - 1], later) >= floor for later in orders[start:]
+        orders[start - 1] == later or _kendall_tau(orders[start - 1], later) >= floor
+        for later in orders[start:]
     ):
         start -= 1
     suffix_length = len(rankings) - start
@@ -371,8 +373,9 @@ def _drifting_orders(rng, n, length):
 
 @pytest.mark.parametrize("relaxed_tau", (0.05, 0.01, 0.005, 1e-17))
 def test_relaxed_detection_equals_all_pairs_rule(relaxed_tau):
-    # 1e-17 rounds the floor to 1.0, which identical rankings fail at
-    # n = 8, 12, 13, 25, ... where their tau reads just below 1.
+    # 1e-17 rounds the floor to 1.0, which identical rankings' tau fails
+    # at n = 8, 12, 13, 25, ... where it reads just below 1; they agree
+    # all the same, as in exact mode.
     rng = random.Random(11)
     suffix_lengths = set()
     for n in range(2, 61):
@@ -485,6 +488,56 @@ def test_relaxed_detection_counts_grow_linearly(monkeypatch):
     assert report.suffix_length == 60
     # the all-pairs rule counts 59 * 60 / 2 = 1,770 pairs
     assert len(counted) <= 2 * 60
+
+
+def _counting(monkeypatch, name):
+    """Replace ``ranking_module.name`` by a wrapper that records each call."""
+    calls, real = [], getattr(ranking_module, name)
+
+    def counted(order):
+        calls.append(order)
+        return real(order)
+
+    monkeypatch.setattr(ranking_module, name, counted)
+    return calls
+
+
+def test_exact_detection_never_counts(karate, monkeypatch):
+    cycle = load_edge_list("".join(f"{i} {(i + 1) % 12}\n" for i in range(12)))
+    results = [sweep(karate, default_grid()), sweep(cycle, default_grid())]
+    counted = [_counting(monkeypatch, name) for name in ("_discordant_pairs", "_positions")]
+    assert detect_threshold(results[0]).p_value == 8.5
+    report = detect_threshold(results[1])
+    assert (report.p_value, report.suffix_length) == (0.0, 43)
+    assert counted == [[], []]
+
+
+def test_relaxed_detection_counts_only_neighbours_that_differ(monkeypatch):
+    base = tuple(str(i) for i in range(30))
+    # From the top: base three times, one swap three times, base three
+    # times, then the reversal: three neighbours differ.
+    orders = [tuple(reversed(base))] + [base] * 3 + [_swap(base, 0)] * 3 + [base] * 3
+    result = _fake_sweep(range(len(orders)), orders)
+    counts, positions = (
+        _counting(monkeypatch, name) for name in ("_discordant_pairs", "_positions")
+    )
+    report = detect_threshold(result, relaxed_tau=0.05)
+    assert (report.p_value, report.suffix_length) == (1.0, 9)
+    assert len(positions) == len(counts) == 3
+
+
+def test_relaxed_detection_agrees_identical_rankings_below_any_count(tmp_path, capsys):
+    # An 8-node cycle ranks alike at every q; tau reads just below 1 for
+    # identical rankings at n = 8, so no count passes 1 - 1e-17.
+    assert _discordant_limit(8, 1e-17) == -1
+    path = tmp_path / "cycle.edges"
+    path.write_text("".join(f"{i} {(i + 1) % 8}\n" for i in range(8)))
+    printed = []
+    for extra in ([], ["--relaxed-tau", "1e-17"]):
+        assert main(["threshold", "--input", str(path), "--jobs", "1", *extra]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert printed[1].splitlines()[1] == "p_value,0.0"
 
 
 def test_refine_at_first_grid_point_returns_it():
