@@ -13,9 +13,10 @@ stops changing: the nonextensive threshold of the network.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, InvalidOperation, Overflow, localcontext
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress, count, repeat
 import math
@@ -280,8 +281,9 @@ def detect_threshold(
 
     Each two suffix rankings must be within a limit of discordant pairs:
     0 by default, so that they are identical, and ``_discordant_limit``'s
-    with ``relaxed_tau``, so that they agree to Kendall tau >= 1 -
-    relaxed_tau, tolerating sporadic adjacent swaps. A single final grid
+    with ``relaxed_tau``, so that their exact Kendall tau reaches 1 -
+    relaxed_tau, tolerating sporadic adjacent swaps. Stability is decided
+    on integer counts alone; no tau is computed. A single final grid
     point never counts: p_value is None unless two points agree. The
     rankings are read through one ``reversed()``, down to the one below
     the suffix, each over the last one's labels (ValueError for another
@@ -319,14 +321,15 @@ def _within_limit(
     """Whether ranking ``order``, which differs from ``previous``, is within
     ``limit`` discordant pairs of it and of every ranking in ``positions``.
 
-    Differing permutations hold a discordant pair, so a limit below 1
-    decides False uncounted. Else ``previous``'s positions join
-    ``positions``, where ``upper[i]`` bounds ranking i's count from
-    ``previous``. Counts form a metric, so that bound plus the step to
-    ``order`` bounds ranking i's count from ``order``, and only rankings
-    whose bound exceeds the limit are counted; on True, ``upper`` holds
-    these bounds. A lower bound never decides alone: every count on entry
-    is within the limit, so ``order``'s can pass it only where the step does.
+    Differing permutations hold a discordant pair, so a limit of 0 (exact
+    mode, or a tolerance too small to allow one pair) decides False
+    uncounted. Else ``previous``'s positions join ``positions``, where
+    ``upper[i]`` bounds ranking i's count from ``previous``. Counts form
+    a metric, so that bound plus the step to ``order`` bounds ranking i's
+    count from ``order``, and only rankings whose bound exceeds the limit
+    are counted; on True, ``upper`` holds these bounds. A lower bound never
+    decides alone: every count on entry is within the limit, so
+    ``order``'s can pass it only where the step does.
     """
     if limit < 1:
         return False
@@ -355,17 +358,18 @@ def refine_threshold(
     ``detect_threshold`` decides each midpoint: it is stable when its
     ranking and the stable one form a stable suffix. Returns a q known to
     reproduce the stable ranking, within REFINE_RESOLUTION of the true
-    onset (assuming stability is monotone in q), and raises ValueError on
-    a bad ``relaxed_tau``. Falls back to the reported p_value when it sits
-    on the first grid point; None when no threshold was detected.
+    onset (assuming stability is monotone in q). Falls back to the
+    reported p_value when it sits on the first grid point; None when no
+    threshold was detected. A bad ``relaxed_tau`` raises ValueError on
+    every path, whether or not a midpoint is scored.
     """
+    if relaxed_tau is not None:
+        _discordant_limit(0, relaxed_tau)
     if report.p_value is None or report.stable_ranking is None:
         return None
     index = result.grid.index(report.p_value)
     if index == 0:
         return report.p_value
-    if relaxed_tau is not None:  # checked even where no midpoint is scored
-        _discordant_limit(0, relaxed_tau)
     lo, hi = result.grid[index - 1], result.grid[index]
     while hi - lo > REFINE_RESOLUTION:
         mid = (lo + hi) / 2.0
@@ -444,19 +448,15 @@ def _positions(order: Sequence[int]) -> list[int]:
 
 
 def _kendall_tau(a: Sequence[int], b: Sequence[int]) -> float:
-    """Kendall tau between two orders of the same ids: ``_tau_of_count`` on
-    their exact discordant-pair count, and 1.0 for fewer than two ids."""
+    """Kendall tau between two orders of the same ids, from their exact
+    discordant-pair count; 1.0 for fewer than two ids."""
     n = len(a)
     if n < 2:
         return 1.0
     place = _positions(b)
-    return _tau_of_count(n, _discordant_pairs([place[i] for i in a]))
-
-
-def _tau_of_count(n: int, discordant: int) -> float:
-    """Tau-b's float expression for n >= 2 labels with ``discordant`` pairs."""
+    discordant = _discordant_pairs([place[i] for i in a])
     # Permutations carry no ties, so tau-b coincides with plain tau. Keep
-    # tau-b's float expression: identical rankings give 0.9999999999999999
+    # tau-b's float expression: identical rankings give 0.9999999999999998
     # at some n, and compare output bytes depend on that float.
     total = n * (n - 1) // 2
     tau = (total - 2 * discordant) / math.sqrt(total) / math.sqrt(total)
@@ -464,16 +464,13 @@ def _tau_of_count(n: int, discordant: int) -> float:
 
 
 def _discordant_limit(n: int, relaxed_tau: float) -> int:
-    """Largest discordant-pair count among n labels whose tau passes
-    1 - relaxed_tau, for a ``relaxed_tau`` checked to lie in
-    (0, MAX_RELAXED_TAU] (ValueError otherwise).
+    """Largest discordant-pair count c among n labels whose exact tau,
+    1 - 2c / (n(n-1)/2), reaches 1 - relaxed_tau, for a ``relaxed_tau``
+    checked to lie in (0, MAX_RELAXED_TAU] (ValueError otherwise).
 
-    ``_tau_of_count`` is non-increasing in the count, as each of its IEEE
-    operations is monotone, so one bisection over the counts finds the
-    limit, and ``count <= limit`` holds exactly when that count's tau
-    passes. -1 when no count passes: a floor that rounds to 1.0 fails
-    identical rankings at the n where their tau reads just below 1.
-    Detection agrees those before it reads the limit, as in exact mode.
+    That is floor(T * n(n-1)/4), with T read as the decimal its float
+    prints as, so 0.05 allows tau 0.95 exactly. Detection and refine
+    compare counts with it and never compute tau.
     """
     relaxed_tau = float(relaxed_tau)
     if not 0.0 < relaxed_tau <= MAX_RELAXED_TAU:
@@ -481,13 +478,7 @@ def _discordant_limit(n: int, relaxed_tau: float) -> int:
             f"relaxed tau tolerance must lie in (0, {MAX_RELAXED_TAU}], "
             f"got {relaxed_tau!r}"
         )
-    if n < 2:
-        return 0
-    floor = 1.0 - relaxed_tau
-    passing = bisect_left(  # how many counts pass; they lie below all that fail
-        range(n * (n - 1) // 2 + 1), True, key=lambda c: _tau_of_count(n, c) < floor
-    )
-    return passing - 1
+    return math.floor(Fraction(repr(relaxed_tau)) * (n * (n - 1) // 2) / 2)
 
 
 def compare_rankings(a: Ranking, b: Ranking) -> RankingComparison:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import lsentropy
 from lsentropy import karate_edges_path
 from lsentropy.cli import main
 
@@ -78,7 +79,8 @@ def test_traced_run_matches_untraced_and_records_spans(command, inputs, tmp_path
     argv = [arg.format(**inputs) for arg in template]
     untraced, traced, spans = (tmp_path / n for n in ("untraced", "traced", "spans.json"))
     assert main([*argv, "--output", str(untraced)]) == 0
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    src = str(Path(lsentropy.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [
             sys.executable, str(ROOT / "perfbench" / "traced_cli.py"),

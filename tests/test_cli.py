@@ -671,6 +671,15 @@ def test_compare_refuses_a_rank_column_other_than_1_to_n(capsys, tmp_path, ranks
     assert "1..3" in _compare_refuses(capsys, path)
 
 
+@pytest.mark.parametrize(
+    "row", ["b,1,0.5", "b,1,0.5,two"], ids=["three-cells", "non-integer-rank"]
+)
+def test_compare_refuses_a_malformed_ranking_row(capsys, tmp_path, row):
+    path = tmp_path / "ranks.csv"
+    path.write_text(f"label,degree,entropy,rank\na,1,0.5,1\n{row}\n")
+    assert _compare_refuses(capsys, path) == f"error: {path}: malformed ranking row\n"
+
+
 def test_compare_reads_rank_rows_in_any_order(capsys, tmp_path):
     path = tmp_path / "shuffled.csv"
     path.write_text("label,degree,entropy,rank\nb,1,0.5,2\nc,1,0.5,3\na,1,0.5,1\n")

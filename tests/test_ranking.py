@@ -1,5 +1,6 @@
 """Rankings, grid sweeps, threshold detection, and comparisons."""
 from array import array
+from fractions import Fraction
 import itertools
 import math
 import os
@@ -38,7 +39,6 @@ from lsentropy.ranking import (
     _discordant_limit,
     _discordant_pairs,
     _kendall_tau,
-    _tau_of_count,
 )
 
 
@@ -333,15 +333,28 @@ def test_threshold_relaxed_tau_bounds():
             detect_threshold(result, relaxed_tau=bad)
 
 
+def _exact_tau(n, discordant):
+    """Kendall tau of two orders of n >= 2 ids ``discordant`` pairs apart,
+    as an exact fraction."""
+    total = n * (n - 1) // 2
+    return Fraction(total - 2 * discordant, total)
+
+
 def _relaxed_all_pairs(result, relaxed_tau):
-    """The relaxed rule with every suffix pair identical or put through
-    tau's float."""
-    floor = 1.0 - relaxed_tau
+    """The relaxed rule with every suffix pair identical or reaching exact
+    tau 1 - relaxed_tau, its count taken by a Fenwick tree."""
+    floor = 1 - Fraction(repr(relaxed_tau))
     rankings = result.rankings
     orders = [ranking.over(rankings[-1].labels).order for ranking in rankings]
+
+    def agree(a, b):
+        place = {label: i for i, label in enumerate(b)}
+        count = _fenwick_discordant([place[label] for label in a])
+        return _exact_tau(len(a), count) >= floor
+
     start = len(rankings) - 1
     while start > 0 and all(
-        orders[start - 1] == later or _kendall_tau(orders[start - 1], later) >= floor
+        orders[start - 1] == later or agree(orders[start - 1], later)
         for later in orders[start:]
     ):
         start -= 1
@@ -373,9 +386,8 @@ def _drifting_orders(rng, n, length):
 
 @pytest.mark.parametrize("relaxed_tau", (0.05, 0.01, 0.005, 1e-17))
 def test_relaxed_detection_equals_all_pairs_rule(relaxed_tau):
-    # 1e-17 rounds the floor to 1.0, which identical rankings' tau fails
-    # at n = 8, 12, 13, 25, ... where it reads just below 1; they agree
-    # all the same, as in exact mode.
+    # 1e-17 allows no discordant pair at these n: identical rankings agree
+    # and differing ones do not, as in exact mode.
     rng = random.Random(11)
     suffix_lengths = set()
     for n in range(2, 61):
@@ -441,33 +453,35 @@ def test_discordant_pairs_across_blocks():
 
 @pytest.mark.parametrize("relaxed_tau", (0.05, 0.03, 0.01, 0.005, 1e-3, 1e-17))
 def test_discordant_limit_is_the_exact_boundary(relaxed_tau):
-    floor = 1.0 - relaxed_tau
+    floor = 1 - Fraction(repr(relaxed_tau))
 
     def passes(n, discordant):
-        total = n * (n - 1) // 2
-        tau = (total - 2 * discordant) / math.sqrt(total) / math.sqrt(total)
-        return min(1.0, max(-1.0, tau)) >= floor
+        return _exact_tau(n, discordant) >= floor
 
     limits = {}
     for n in (*range(2, 301), 50_000):
         limit = limits[n] = _discordant_limit(n, relaxed_tau)
-        if limit == -1:
-            assert not passes(n, 0), n
-            continue
         assert 0 <= limit < n * (n - 1) // 2
         assert passes(n, limit) and not passes(n, limit + 1), n
     for n in (2, 8, 13, 25, 60, 300):
         limit = limits[n]
-        if limit >= 0:
-            assert _tau_of_count(
-                n, _discordant_pairs(_with_inversions(n, limit))
-            ) >= floor
-        assert _tau_of_count(
-            n, _discordant_pairs(_with_inversions(n, limit + 1))
-        ) < floor
-    if relaxed_tau == 1e-17:
-        assert limits[8] == limits[12] == limits[13] == limits[25] == -1
+        assert passes(n, _discordant_pairs(_with_inversions(n, limit)))
+        assert not passes(n, _discordant_pairs(_with_inversions(n, limit + 1)))
     assert _discordant_limit(1, relaxed_tau) == _discordant_limit(0, relaxed_tau) == 0
+
+
+def test_discordant_limit_reaches_tau_exactly_at_the_tolerance():
+    # 114 pairs among 96 labels give tau 1 - 228/4560 = 0.95 exactly, and
+    # 1,249,875 among 10,000 give 1 - 2,499,750/49,995,000 = 0.95.
+    assert _discordant_limit(96, 0.05) == 114
+    assert _discordant_limit(10_000, 0.05) == 1_249_875
+    assert _discordant_limit(10_000, 0.01) == 249_975
+    stable = tuple(str(i) for i in range(96))
+    for discordant, suffix_length in ((114, 2), (115, 1)):
+        apart = tuple(str(i) for i in _with_inversions(96, discordant))
+        result = _fake_sweep((0.0, 1.0), [apart, stable])
+        report = detect_threshold(result, relaxed_tau=0.05)
+        assert report.suffix_length == suffix_length, discordant
 
 
 def test_relaxed_detection_counts_grow_linearly(monkeypatch):
@@ -527,9 +541,9 @@ def test_relaxed_detection_counts_only_neighbours_that_differ(monkeypatch):
 
 
 def test_relaxed_detection_agrees_identical_rankings_below_any_count(tmp_path, capsys):
-    # An 8-node cycle ranks alike at every q; tau reads just below 1 for
-    # identical rankings at n = 8, so no count passes 1 - 1e-17.
-    assert _discordant_limit(8, 1e-17) == -1
+    # An 8-node cycle ranks alike at every q, and 1e-17 allows no
+    # discordant pair among 8 labels: identical rankings agree uncounted.
+    assert _discordant_limit(8, 1e-17) == 0
     path = tmp_path / "cycle.edges"
     path.write_text("".join(f"{i} {(i + 1) % 8}\n" for i in range(8)))
     printed = []
@@ -540,10 +554,14 @@ def test_relaxed_detection_agrees_identical_rankings_below_any_count(tmp_path, c
     assert printed[1].splitlines()[1] == "p_value,0.0"
 
 
-def test_refine_at_first_grid_point_returns_it():
-    g = load_edge_list(
+def _complete_graph_k5():
+    return load_edge_list(
         "\n".join(f"{u} {v}" for u, v in itertools.combinations("12345", 2))
     )
+
+
+def test_refine_at_first_grid_point_returns_it():
+    g = _complete_graph_k5()
     result = sweep(g, (0.0, 1.0, 2.0))
     report = detect_threshold(result)
     assert report.p_value == 0.0
@@ -565,6 +583,21 @@ def test_refine_rejects_a_bad_tolerance_with_nothing_to_bisect():
     assert report.p_value == 0.05
     with pytest.raises(ValueError, match="relaxed tau"):
         refine_threshold(None, result, report, relaxed_tau=0.5)
+
+
+@pytest.mark.parametrize("case", ["lower-neighbour", "no-threshold", "first-point"])
+def test_refine_checks_the_tolerance_on_every_path(karate, case):
+    graph, grid = {
+        "lower-neighbour": (karate, (8.0, 8.5, 9.0)),
+        "no-threshold": (karate, (0.0, 5.0, 10.0)),
+        "first-point": (_complete_graph_k5(), (0.0, 1.0, 2.0)),
+    }[case]
+    result = sweep(graph, grid)
+    report = detect_threshold(result)
+    assert (report.p_value is None) == (case == "no-threshold")
+    assert (report.p_value == grid[0]) == (case == "first-point")
+    with pytest.raises(ValueError, match="relaxed tau"):
+        refine_threshold(graph, result, report, relaxed_tau=0.2)
 
 
 def test_refine_narrows_between_grid_points(karate):
@@ -606,9 +639,7 @@ def test_three_states_path_center_first():
 
 
 def test_three_states_complete_graph_all_identical():
-    g = load_edge_list(
-        "\n".join(f"{u} {v}" for u, v in itertools.combinations("12345", 2))
-    )
+    g = _complete_graph_k5()
     states = three_states(g, (0.0, 1.0, 2.0))
     assert states.order_q0 == states.order_q1 == states.order_stable
 
