@@ -47,11 +47,11 @@ that many processes forked from this one (``_workers.forked_map``);
 it defaults to, and is capped at, the CPUs this process may use.
 
 ``sweep`` and ``states`` score every grid point. ``threshold`` scores
-the grid from its top down, in blocks of about 2 * jobs points, as
-detection reads them: past the threshold the ranking no longer changes,
-so detection reads the rankings once, from the top, through the stable
-suffix and the point below it, and scoring stops with the block that
-holds that point.
+the grid from its top down, in blocks of 2 * jobs points counted from
+its bottom, as detection reads them: past the threshold the ranking no
+longer changes, so detection reads the rankings once, from the top,
+through the stable suffix and the point below it, and scoring stops
+with the block that holds that point.
 """
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from itertools import chain, pairwise, repeat
+from itertools import chain, repeat
 from typing import IO, Iterable, Iterator
 
 from ._workers import forked_map
@@ -180,11 +180,10 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
 class _RankedFromTop:
     """The rankings of ``graph`` at each point of ``grid``, scored as
     ``reversed()`` reads them, from the top of the grid down: blocks of
-    2 * jobs points, each one ``sweep`` over ``jobs`` processes. Where the
-    grid's length would leave one point for the bottom block, the top
-    block takes it instead, so reading the top m >= 2 points scores fewer
-    than m + 2 * jobs. Only the block being read is held. Each read
-    scores the grid anew, so it is read once: detection is its only reader.
+    2 * jobs points, each one ``sweep`` over ``jobs`` processes, counted
+    from the grid's bottom so that only the top block may hold fewer.
+    Only the block being read is held. Each read scores the grid anew, so
+    it is read once: detection is its only reader.
     """
 
     def __init__(self, graph: Graph, grid: tuple[float, ...], jobs: int):
@@ -192,9 +191,9 @@ class _RankedFromTop:
 
     def __reversed__(self) -> Iterator[Ranking]:
         graph, grid, size = self._graph, self._grid, 2 * self._jobs
-        top = len(grid) - size - (len(grid) % size == 1)
-        for hi, lo in pairwise(chain([len(grid)], range(top, 0, -size), [0])):
-            yield from reversed(sweep(graph, grid[lo:hi], jobs=self._jobs).rankings)
+        for lo in reversed(range(0, len(grid), size)):
+            block = sweep(graph, grid[lo : lo + size], jobs=self._jobs)
+            yield from reversed(block.rankings)
 
 
 def cmd_threshold(args: argparse.Namespace) -> Result:
@@ -234,9 +233,10 @@ def cmd_states(args: argparse.Namespace) -> Result:
 
 
 def _load_ranking_csv(path: str, state: str) -> Ranking:
-    """Read a ranking back from cmd_rank or cmd_states CSV output: rows in
-    any order, ranked 1..n once each or naming each state once. A states
-    cell holds every label, so the field limit is lifted while it is read."""
+    """Read a ranking of at least one label back from cmd_rank or cmd_states
+    CSV output: rows of the header's field count, in any order, ranked 1..n
+    once each or naming each state once. A states cell holds every label,
+    so the field limit is lifted while it is read."""
     limit = csv.field_size_limit(2**31 - 1)  # the most a 32-bit C long holds
     try:
         with _reading(path, newline="") as handle:
@@ -246,27 +246,33 @@ def _load_ranking_csv(path: str, state: str) -> Ranking:
             header = tuple(rows[0])
             if header == _RANK_HEADER:
                 try:
-                    by_rank = {int(row[3]): row[0] for row in rows[1:]}
-                except (IndexError, ValueError):
+                    by_rank = {int(rank): label for label, _, _, rank in rows[1:]}
+                except ValueError:  # a field count other than 4, or a rank not an int
                     raise ValueError("malformed ranking row") from None
                 ranks = range(1, len(rows))
                 if by_rank.keys() != set(ranks):
                     raise ValueError(f"rank column does not hold 1..{len(ranks)} once each")
-                return Ranking(map(by_rank.__getitem__, ranks))
-            if header == _STATES_HEADER:
+                ranking = Ranking(map(by_rank.__getitem__, ranks))
+            elif header == _STATES_HEADER:
                 named = {}  # each state's row; a row already there is another list
                 for row in rows[1:]:
-                    if len(row) == 2 and named.setdefault(row[0], row) is not row:
+                    if len(row) != 2:
+                        raise ValueError("malformed states row")
+                    if named.setdefault(row[0], row) is not row:
                         raise ValueError(f"state {row[0]!r} appears twice")
                 wanted = _STATE_ROW_NAMES[state]
                 if wanted not in named:
                     raise ValueError(f"missing row {wanted!r}")
                 if named[wanted][1] == "none":
                     raise ValueError("no stable ordering was detected in this file")
-                return Ranking(tuple(next(csv.reader([named[wanted][1]]))))
-            raise ValueError(
-                f"unrecognized header {','.join(header)!r}; expected rank or states CSV"
-            )
+                ranking = Ranking(next(csv.reader([named[wanted][1]])))
+            else:
+                raise ValueError(
+                    f"unrecognized header {','.join(header)!r}; expected rank or states CSV"
+                )
+            if not ranking.labels:
+                raise ValueError("the ranking is empty")
+            return ranking
     finally:
         csv.field_size_limit(limit)
 

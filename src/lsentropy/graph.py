@@ -11,6 +11,7 @@ construction, and ``Graph(labels=, adjacency=)`` checks what it is given.
 """
 from __future__ import annotations
 
+import io
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -154,8 +155,10 @@ def load_edge_list(source: str | IO[str]) -> Graph:
     """Parse a whitespace-delimited edge list into a Graph.
 
     Args:
-        source: text or a readable text stream. Each non-blank line that
-            does not start with '#' must hold exactly two labels.
+        source: text or a readable text stream. Text is read as a file
+            opened in text mode reads it: a line ends only at '\\n',
+            '\\r\\n' or '\\r'. Each non-blank line that does not start
+            with '#' must hold exactly two labels.
 
     Raises:
         EdgeListParseError: a line does not hold exactly two labels.
@@ -166,7 +169,7 @@ def load_edge_list(source: str | IO[str]) -> Graph:
 
 def _label_pairs(source: str | IO[str]) -> Iterator[tuple[str, str]]:
     """Yield the two labels of each edge line, self-loops included."""
-    lines = source.splitlines() if isinstance(source, str) else source
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     for line_number, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens or tokens[0].startswith("#"):

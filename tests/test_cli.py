@@ -269,19 +269,24 @@ def cycle_path(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+# The top k integer points up to 10, for each grid length k from 2 to 9.
+_SHORT_GRIDS = {2: "8,10", **{k: f"{11 - k}:10:1" for k in range(3, 10)}}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
 @pytest.mark.parametrize(
     "graph, grid",
-    [("karate", None), ("karate", "8,10"), ("karate", "6:10:1"), ("cycle", None)],
-    ids=["karate-default-grid", "2-point-grid", "5-point-grid", "cycle"],
+    [("karate", None), ("cycle", None), *(("karate", g) for g in _SHORT_GRIDS.values())],
+    ids=["karate-default-grid", "cycle", *(f"{k}-point-grid" for k in _SHORT_GRIDS)],
 )
 def test_threshold_bytes_match_detection_over_a_full_sweep(
     capsys, monkeypatch, karate_path, cycle_path, graph, grid, jobs
 ):
     """threshold scores the grid from its top down in blocks, as detection
     reads it; its bytes must be those of detection over one sweep of the
-    whole grid. At --jobs 2 the 5-point grid would leave a 1-point bottom
-    block, and on the cycle every block is read."""
+    whole grid. The short grids leave every remainder for the top block,
+    and on the cycle every block is read. The last block scored holds at
+    least 2 points, so that detection could run over it alone."""
     monkeypatch.setattr(cli, "_job_count", lambda requested: requested)  # any CPU count
     path = karate_path if graph == "karate" else cycle_path
     base = ["threshold", "--input", path, "--jobs", jobs]
@@ -291,7 +296,15 @@ def test_threshold_bytes_match_detection_over_a_full_sweep(
     )
     for fmt, relaxed, refine in options:
         argv = [*base, "--format", fmt, *relaxed, *refine]
-        by_block = _run(capsys, *argv)
+        sizes = []
+
+        def recording_sweep(g, grid, jobs=1):
+            sizes.append(len(grid))
+            return sweep(g, grid, jobs=jobs)
+
+        with monkeypatch.context() as recorded:
+            recorded.setattr(cli, "sweep", recording_sweep)
+            by_block = _run(capsys, *argv)
         with monkeypatch.context() as eager:
             eager.setattr(
                 cli, "_RankedFromTop", lambda g, grid, jobs: sweep(g, grid, jobs).rankings
@@ -299,6 +312,7 @@ def test_threshold_bytes_match_detection_over_a_full_sweep(
             whole = _run(capsys, *argv)
         assert by_block[0] == 0, by_block[2]
         assert by_block == whole, argv
+        assert sizes[-1] >= 2, (argv, sizes)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -330,21 +344,15 @@ def test_threshold_scores_only_the_blocks_detection_reads(
     assert sum(scored) <= min(points, suffix_length + 1) + 2 * jobs - 1, scored
 
 
-# (lo, hi) of each default-grid slice that threshold scores, in order.
+# (lo, hi) of each default-grid slice that threshold scores, in order:
+# blocks of 2 * jobs points counted from the grid's bottom, read from its top.
 _THRESHOLD_SLICES = {
-    ("karate", 1): [(40, 43), (38, 40)],
-    ("karate", 2): [(39, 43), (35, 39)],
-    ("karate", 3): [(36, 43)],
-    ("cycle", 1): [
-        (40, 43), (38, 40), (36, 38), (34, 36), (32, 34), (30, 32), (28, 30),
-        (26, 28), (24, 26), (22, 24), (20, 22), (18, 20), (16, 18), (14, 16),
-        (12, 14), (10, 12), (8, 10), (6, 8), (4, 6), (2, 4), (0, 2),
-    ],
-    ("cycle", 2): [
-        (39, 43), (35, 39), (31, 35), (27, 31), (23, 27), (19, 23),
-        (15, 19), (11, 15), (7, 11), (3, 7), (0, 3),
-    ],
-    ("cycle", 3): [(36, 43), (30, 36), (24, 30), (18, 24), (12, 18), (6, 12), (0, 6)],
+    ("karate", 1): [(42, 43), (40, 42), (38, 40)],
+    ("karate", 2): [(40, 43), (36, 40)],
+    ("karate", 3): [(42, 43), (36, 42)],
+    ("cycle", 1): [(42, 43), *((lo, lo + 2) for lo in range(40, -1, -2))],
+    ("cycle", 2): [(40, 43), *((lo, lo + 4) for lo in range(36, -1, -4))],
+    ("cycle", 3): [(42, 43), *((lo, lo + 6) for lo in range(36, -1, -6))],
 }
 
 
@@ -672,12 +680,27 @@ def test_compare_refuses_a_rank_column_other_than_1_to_n(capsys, tmp_path, ranks
 
 
 @pytest.mark.parametrize(
-    "row", ["b,1,0.5", "b,1,0.5,two"], ids=["three-cells", "non-integer-rank"]
+    "row",
+    ["b,1,0.5", "b,1,1.0,2,extra", "b,1,0.5,two"],
+    ids=["three-cells", "five-cells", "non-integer-rank"],
 )
 def test_compare_refuses_a_malformed_ranking_row(capsys, tmp_path, row):
     path = tmp_path / "ranks.csv"
     path.write_text(f"label,degree,entropy,rank\na,1,0.5,1\n{row}\n")
     assert _compare_refuses(capsys, path) == f"error: {path}: malformed ranking row\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['state,order\nOrder_q0,"a,b"\nOrder_q0\n', 'state,order\nOrder_q0,"a,b",c\n'],
+    ids=["one-cell", "three-cells"],
+)
+def test_compare_refuses_a_malformed_states_row(capsys, tmp_path, text):
+    """A states row holds its header's 2 fields; the second Order_q0 above
+    would otherwise hide a repeated state."""
+    path = tmp_path / "states.csv"
+    path.write_text(text)
+    assert _compare_refuses(capsys, path) == f"error: {path}: malformed states row\n"
 
 
 def test_compare_reads_rank_rows_in_any_order(capsys, tmp_path):
@@ -711,9 +734,7 @@ def test_compare_refuses_a_states_file_without_the_requested_row(capsys, tmp_pat
 def test_compare_rejects_empty_rankings(capsys, tmp_path, text):
     path = tmp_path / "empty.csv"
     path.write_text(text)
-    code, out, err = _run(capsys, "compare", str(path), str(path))
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and "empty" in err
+    assert "empty" in _compare_refuses(capsys, path).removeprefix(f"error: {path}")
 
 
 def test_compare_rejects_unknown_header(capsys, tmp_path):

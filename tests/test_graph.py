@@ -69,16 +69,30 @@ def test_self_loops_excluded_from_equality():
     assert without == with_loop
 
 
-def test_parse_error_carries_line_number():
+def test_parse_error_carries_line_number(tmp_path):
     # The second text's bad line follows a comment, a blank line and a
     # self-loop; the parse streams, so a stream source must count alike.
-    cases = [("a b\na b c\n", 2), ("# edges\na b\n\nc c\n  x y z\nb c\n", 5)]
+    # A string is read as a file opened in text mode reads it: a line ends
+    # at \n, \r\n or \r, and \x0c, \x1c, \x85 or \u2028 are whitespace
+    # inside it, though str.splitlines() would end a line there.
+    cases = [
+        ("a b\na b c\n", 2),
+        ("# edges\na b\n\nc c\n  x y z\nb c\n", 5),
+        ("a b\r\nc d\r\ne f g\r\n", 3),
+        ("a b\rc d\re f g\r", 3),
+        ("a b\u2028c d\n", 1),
+        ("a b\x0cc d\ne f g\n", 1),
+        ("x y\na b\x1cc d\x85e f\n", 2),
+    ]
+    path = tmp_path / "edges.txt"
     for text, line_number in cases:
-        for source in (text, io.StringIO(text)):
-            with pytest.raises(EdgeListParseError) as excinfo:
-                load_edge_list(source)
-            assert excinfo.value.line_number == line_number
-            assert f"line {line_number}: expected 2 labels" in str(excinfo.value)
+        path.write_bytes(text.encode())
+        with open(path, encoding="utf-8") as file:
+            for source in (text, io.StringIO(text, newline=None), file):
+                with pytest.raises(EdgeListParseError) as excinfo:
+                    load_edge_list(source)
+                assert excinfo.value.line_number == line_number, repr(text)
+                assert f"line {line_number}: expected 2 labels" in str(excinfo.value)
 
 
 def test_single_token_line_rejected():
