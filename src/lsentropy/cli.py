@@ -11,8 +11,8 @@ early, as ``| head`` does, ends the run quietly with 141 (128 + SIGPIPE).
 Every input file is read through one reader, ``_reading``: it is UTF-8,
 a leading byte-order mark is dropped, and any error in its contents (a
 byte that does not decode, a malformed line, a repeated label) is one
-error naming it. ``threshold`` and ``states`` check their grid rules,
-like the grid itself, before any file is read.
+error naming it. ``threshold`` and ``states`` share one grid rule, at
+least 2 points, checked like the grid itself before any file is read.
 
 Every subcommand returns one ``(fields, header, rows)`` result, and
 ``_emit`` alone writes it. A table (``rank``, ``sweep``: ``fields`` is
@@ -46,7 +46,8 @@ which re-indexes the second into the first's labels once.
 that many processes forked from this one (``_workers.forked_map``);
 it defaults to, and is capped at, the CPUs this process may use.
 
-``sweep`` and ``states`` score every grid point. ``threshold`` scores
+``sweep`` and ``states`` score every grid point, and ``states`` scores
+q = 0 and q = 1 as well where the grid lacks them. ``threshold`` scores
 the grid from its top down, in blocks of 2 * jobs points counted from
 its bottom, as detection reads them: past the threshold the ranking no
 longer changes, so detection reads the rankings once, from the top,
@@ -74,7 +75,6 @@ from .ranking import (
     Ranking,
     SweepResult,
     check_detection_grid,
-    check_three_states_grid,
     compare_rankings,
     detect_threshold,
     parse_grid,
@@ -220,8 +220,9 @@ def cmd_threshold(args: argparse.Namespace) -> Result:
 
 
 def cmd_states(args: argparse.Namespace) -> Result:
+    """The q=0, q=1 and stable orderings; its grid rule is ``threshold``'s."""
     grid = parse_grid(args.grid)
-    check_three_states_grid(grid)
+    check_detection_grid(grid)
     graph = _load_graph(args.input)
     states = three_states(graph, grid, relaxed_tau=args.relaxed_tau, jobs=args.jobs)
     fields, rows = {}, []

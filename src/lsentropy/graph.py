@@ -49,17 +49,17 @@ class Graph:
             (diagnostic only, excluded from equality).
 
     Instances are immutable after construction and safe to share across
-    threads and worker processes. ``Graph(labels=, adjacency=)`` stores
-    its arguments as tuples, checks them and raises ValueError on any
-    violation of the above;
-    graphs built by ``load_edge_list`` or ``from_edge_labels`` are valid
+    threads and worker processes. ``Graph(labels=, adjacency=)`` takes
+    only those two, stores them as tuples, checks them and raises
+    ValueError on any violation of the above; its two counters read 0.
+    Graphs built by ``load_edge_list`` or ``from_edge_labels`` are valid
     by construction and skip those checks.
     """
 
     labels: tuple[str, ...]
     adjacency: tuple[tuple[int, ...], ...]
-    self_loops_dropped: int = field(default=0, compare=False)
-    duplicate_edges_collapsed: int = field(default=0, compare=False)
+    self_loops_dropped: int = field(default=0, init=False, compare=False)
+    duplicate_edges_collapsed: int = field(default=0, init=False, compare=False)
     degrees: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):

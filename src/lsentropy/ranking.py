@@ -43,14 +43,22 @@ MAX_GRID_POINTS = 10**6
 # before it merges runs pairwise.
 _BLOCK = 4096
 
+# Longest label read as an integer: the lowest int-string digit limit
+# Python allows (sys.int_info.str_digits_check_threshold), so that no
+# setting of that limit changes which labels parse.
+_MAX_INT_LABEL = 640
+
 
 def label_sort_key(label: str) -> tuple[int, int, str]:
-    """Tie-break key: integer labels ascend numerically and sort ahead of
-    non-integer labels, which ascend lexicographically."""
-    try:
-        return (0, int(label), label)
-    except ValueError:
-        return (1, 0, label)
+    """Tie-break key: integer labels of at most _MAX_INT_LABEL characters
+    ascend numerically and sort ahead of all other labels, which ascend
+    lexicographically."""
+    if len(label) <= _MAX_INT_LABEL:
+        try:
+            return (0, int(label), label)
+        except ValueError:
+            pass
+    return (1, 0, label)
 
 
 @dataclass(frozen=True)
@@ -382,26 +390,21 @@ def refine_threshold(
     return hi
 
 
-def check_three_states_grid(grid: Sequence[float]) -> None:
-    """Refuse a grid ``three_states`` cannot read: it needs q=0 and q=1."""
-    if 0.0 not in grid or 1.0 not in grid:
-        raise ValueError("three-states grid must contain q=0 and q=1")
-
-
 def three_states(
     graph: Graph, grid, relaxed_tau: float | None = None, jobs: int = 1
 ) -> ThreeStates:
-    """Rankings at q=0 and q=1 plus the detected stable ranking, from a
-    ``sweep`` over ``jobs`` processes."""
-    grid = tuple(float(q) for q in grid)
-    check_three_states_grid(grid)
+    """Rankings at q=0 and q=1 plus the stable ranking detected over a
+    ``sweep`` of ``grid`` over ``jobs`` processes. The q=0 and q=1
+    rankings come from that sweep where the grid holds those points, and
+    are scored alone where it does not; no point's ranking depends on
+    which others are scored, so either way they are the same."""
     result = sweep(graph, grid, jobs)
     report = detect_threshold(result, relaxed_tau=relaxed_tau)
-    return ThreeStates(
-        order_q0=result.rankings[grid.index(0.0)],
-        order_q1=result.rankings[grid.index(1.0)],
-        order_stable=report.stable_ranking,
+    swept = dict(zip(result.grid, result.rankings))
+    order_q0, order_q1 = (
+        swept[q] if q in swept else rank(score_all(graph, q)) for q in (0.0, 1.0)
     )
+    return ThreeStates(order_q0, order_q1, report.stable_ranking)
 
 
 def _discordant_pairs(order: list[int]) -> int:
@@ -551,7 +554,8 @@ def parse_grid(spec: str) -> tuple[float, ...]:
         values = accumulate(repeat(step, int(length) - 1), initial=start)
         # The test drops an empty range's start, and a last point past
         # stop where the count's division rounded up.
-        points.extend(float(value) for value in values if value <= stop)
+        # Adding 0.0 turns a -0.0 into 0.0, so "-0" writes as "0" does.
+        points.extend(float(value) + 0.0 for value in values if value <= stop)
     return _checked_grid(tuple(points))
 
 

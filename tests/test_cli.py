@@ -136,6 +136,15 @@ def test_sweep_single_edge_symmetry(capsys, tmp_path):
         assert len(entropies) == 1
 
 
+@pytest.mark.parametrize("spec", ["-0,1", "-0:1:0.5"])
+def test_sweep_writes_minus_zero_as_zero(capsys, triangle_path, spec):
+    argv = ("sweep", "--input", triangle_path)
+    _, plain, _ = _run(capsys, *argv, "--grid", spec.replace("-0", "0", 1))
+    code, out, _ = _run(capsys, *argv, f"--grid={spec}")
+    assert code == 0 and out == plain
+    assert _rows(out)[1][0] == "0.0"
+
+
 def test_sweep_rejects_bad_grid(capsys, triangle_path):
     code, out, err = _run(
         capsys, "sweep", "--input", triangle_path, "--grid", "2,1"
@@ -170,21 +179,13 @@ def test_oversized_grid_reported_before_input_is_read(capsys, tmp_path, command)
     )
 
 
-@pytest.mark.parametrize(
-    "command, grid, message",
-    [
-        ("states", "2,3", "three-states grid must contain q=0 and q=1"),
-        ("threshold", "5", "threshold detection needs a sweep of >= 2 grid points"),
-    ],
-    ids=["states", "threshold"],
-)
-def test_command_grid_rule_reported_before_input_is_read(
-    capsys, tmp_path, command, grid, message
-):
+@pytest.mark.parametrize("command", ["states", "threshold"])
+def test_command_grid_rule_reported_before_input_is_read(capsys, tmp_path, command):
+    # The two grid commands share one rule: at least 2 points.
     missing = str(tmp_path / "absent.edges")
-    code, out, err = _run(capsys, command, "--input", missing, "--grid", grid)
+    code, out, err = _run(capsys, command, "--input", missing, "--grid", "5")
     assert code == 1 and out == ""
-    assert err == f"error: {message}\n"
+    assert err == "error: threshold detection needs a sweep of >= 2 grid points\n"
 
 
 def test_threshold_complete_graph_stable_from_zero(capsys, k5_path):
@@ -406,11 +407,20 @@ def test_states_complete_graph_identical_rows(capsys, k5_path):
     assert values == {"1,2,3,4,5"}
 
 
-def test_states_requires_zero_and_one(capsys, karate_path):
-    code, _, err = _run(
-        capsys, "states", "--input", karate_path, "--grid", "0.5,1"
-    )
-    assert code == 1 and "error:" in err
+@pytest.mark.parametrize("relaxed", [(), ("--relaxed-tau", "0.05")], ids=["exact", "relaxed"])
+def test_states_scores_zero_and_one_off_the_grid(capsys, karate_path, karate, relaxed):
+    argv = ("states", "--input", karate_path, "--grid", "2,3", *relaxed)
+    code, out, err = _run(capsys, *argv)
+    assert code == 0 and err == ""
+    cells = {name: next(csv.reader([cell])) for name, cell in _rows(out)[1:]}
+    for q in ("0", "1"):
+        _, ranked, _ = _run(capsys, "rank", "--input", karate_path, "--q", q)
+        assert cells[f"Order_q{q}"] == [row[0] for row in _rows(ranked)[1:]]
+    # Exact detection finds 2 and 3 apart; T = 0.05 takes them as one.
+    tau = float(relaxed[1]) if relaxed else None
+    stable = three_states(karate, (2.0, 3.0), relaxed_tau=tau).order_stable
+    assert (stable is None) == (not relaxed)
+    assert cells["Order_stable"] == (list(stable.ordered_labels) if stable else ["none"])
 
 
 def test_states_json_payload(capsys, karate_path, karate):

@@ -63,6 +63,15 @@ def test_self_loops_dropped_and_counted():
     assert g.degrees == (1, 1)
 
 
+@pytest.mark.parametrize("counter", ["self_loops_dropped", "duplicate_edges_collapsed"])
+def test_constructor_refuses_the_ingestion_counters(counter):
+    # Only ingestion counts; a graph built from its arrays has seen nothing.
+    with pytest.raises(TypeError):
+        Graph(labels=("a", "b"), adjacency=((1,), (0,)), **{counter: 5})
+    graph = Graph(labels=("a", "b"), adjacency=((1,), (0,)))
+    assert getattr(graph, counter) == 0
+
+
 def test_self_loops_excluded_from_equality():
     without = load_edge_list("a b\n")
     with_loop = load_edge_list("a a\na b\n")

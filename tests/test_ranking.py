@@ -69,6 +69,22 @@ def test_label_sort_key_numeric_then_lexicographic():
     assert sorted(labels, key=label_sort_key) == ["2", "10", "1a", "b"]
 
 
+def test_label_sort_key_order_ignores_the_int_string_limit():
+    """A label longer than the lowest int-string limit sorts as a string,
+    so the order is the same under every setting of that limit."""
+    long_label = "1" + "0" * 5000
+    labels = ["!x", long_label, "2"]
+    limit = sys.get_int_max_str_digits()
+    orders = []
+    try:
+        for digits in (640, 0):  # the lowest limit, then none
+            sys.set_int_max_str_digits(digits)
+            orders.append(sorted(labels, key=label_sort_key))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert orders == [["2", "!x", long_label]] * 2
+
+
 def test_rank_descending_by_score():
     table = ScoreTable(q=1.0, labels=("1", "2", "3"), scores=(3.0, 1.0, 2.0))
     assert rank(table).ordered_labels == ("1", "3", "2")
@@ -644,11 +660,25 @@ def test_three_states_complete_graph_all_identical():
     assert states.order_q0 == states.order_q1 == states.order_stable
 
 
-def test_three_states_requires_zero_and_one(karate):
-    with pytest.raises(ValueError):
-        three_states(karate, (0.5, 1.0))
-    with pytest.raises(ValueError):
-        three_states(karate, (0.0, 0.5))
+def test_three_states_scores_zero_and_one_off_the_grid(karate):
+    at_zero, at_one = (rank(score_all(karate, q)) for q in (0.0, 1.0))
+    for grid in ((0.5, 1.0), (0.0, 0.5)):
+        states = three_states(karate, grid)
+        assert (states.order_q0, states.order_q1) == (at_zero, at_one)
+        assert states.order_stable == detect_threshold(sweep(karate, grid)).stable_ranking
+
+
+def test_three_states_scores_each_default_point_once(karate, monkeypatch):
+    calls = []
+    real = ranking_module.score_all
+
+    def counting(graph, q):
+        calls.append(q)
+        return real(graph, q)
+
+    monkeypatch.setattr(ranking_module, "score_all", counting)
+    three_states(karate, default_grid())
+    assert calls == list(default_grid())
 
 
 def test_extending_grid_never_lowers_p_value(karate):
@@ -729,6 +759,11 @@ def test_compare_single_node_tau_convention():
     assert compare_rankings(ranking, ranking).kendall_tau == 1.0
 
 
+def test_compare_rejects_empty_rankings():
+    with pytest.raises(ValueError, match="rankings are empty"):
+        compare_rankings(Ranking(()), Ranking(()))
+
+
 def test_compare_rejects_mismatched_label_sets():
     with pytest.raises(ValueError, match="b, c"):
         compare_rankings(Ranking(("a", "b")), Ranking(("a", "c")))
@@ -754,6 +789,11 @@ def test_parse_grid_values_and_ranges():
     # endpoint excluded when the step does not land on it
     assert parse_grid("0:1:0.3") == (0.0, 0.3, 0.6, 0.9)
     assert parse_grid("0,0.5:1.5:0.5,9") == (0.0, 0.5, 1.0, 1.5, 9.0)
+
+
+@pytest.mark.parametrize("spec", ["-0,1", "-0:1:0.5"])
+def test_parse_grid_reads_minus_zero_as_zero(spec):
+    assert repr(parse_grid(spec)[0]) == "0.0"  # -0.0 == 0.0, but its repr differs
 
 
 def test_parse_grid_rejects_malformed_specs():
