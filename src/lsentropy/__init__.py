@@ -25,7 +25,6 @@ from .ranking import (
     RankingComparison,
     ScoreTable,
     SweepResult,
-    ThreeStates,
     ThresholdReport,
     compare_rankings,
     default_grid,
@@ -36,7 +35,6 @@ from .ranking import (
     refine_threshold,
     score_all,
     sweep,
-    three_states,
 )
 
 __version__ = "0.1.0"
@@ -53,7 +51,6 @@ __all__ = [
     "RankingComparison",
     "ScoreTable",
     "SweepResult",
-    "ThreeStates",
     "ThresholdReport",
     "compare_rankings",
     "default_grid",
@@ -69,6 +66,5 @@ __all__ = [
     "refine_threshold",
     "score_all",
     "sweep",
-    "three_states",
     "tsallis_entropy",
 ]

@@ -46,13 +46,13 @@ which re-indexes the second into the first's labels once.
 that many processes forked from this one (``_workers.forked_map``);
 it defaults to, and is capped at, the CPUs this process may use.
 
-``sweep`` and ``states`` score every grid point, and ``states`` scores
-q = 0 and q = 1 as well where the grid lacks them. ``threshold`` scores
-the grid from its top down, in blocks of 2 * jobs points counted from
-its bottom, as detection reads them: past the threshold the ranking no
-longer changes, so detection reads the rankings once, from the top,
-through the stable suffix and the point below it, and scoring stops
-with the block that holds that point.
+``sweep`` scores every grid point. ``threshold`` and ``states`` detect
+through ``_detected``, which scores the grid from its top down, in
+blocks of 2 * jobs points counted from its bottom, as detection reads
+them: past the threshold the ranking no longer changes, so detection
+reads the rankings once, from the top, through the stable suffix and
+the point below it, and scoring stops with the block that holds that
+point. ``states`` then scores q = 0 and q = 1 alone: 2 points more.
 """
 from __future__ import annotations
 
@@ -74,6 +74,7 @@ from .ranking import (
     REFINE_RESOLUTION,
     Ranking,
     SweepResult,
+    ThresholdReport,
     check_detection_grid,
     compare_rankings,
     detect_threshold,
@@ -82,7 +83,6 @@ from .ranking import (
     refine_threshold,
     score_all,
     sweep,
-    three_states,
 )
 
 _RANK_HEADER = ("label", "degree", "entropy", "rank")
@@ -97,9 +97,10 @@ Result = tuple[dict | None, tuple[str, ...], Iterable[tuple]]
 def _check_args(args: argparse.Namespace) -> None:
     """The argument checks argparse cannot express, run before any file is
     read; also resolves ``args.jobs`` to a worker count."""
-    q = getattr(args, "q", 0.0)
-    if not (math.isfinite(q) and q >= 0.0):
-        raise ValueError("--q must be finite and >= 0")
+    if hasattr(args, "q"):
+        if not (math.isfinite(args.q) and args.q >= 0.0):
+            raise ValueError("--q must be finite and >= 0")
+        args.q += 0.0  # -0.0 becomes 0.0, so "-0" writes as "0" does
     relaxed_tau = getattr(args, "relaxed_tau", None)
     if relaxed_tau is not None and not 0.0 < relaxed_tau <= MAX_RELAXED_TAU:
         raise ValueError(f"--relaxed-tau must lie in (0, {MAX_RELAXED_TAU}]")
@@ -196,13 +197,19 @@ class _RankedFromTop:
             yield from reversed(block.rankings)
 
 
-def cmd_threshold(args: argparse.Namespace) -> Result:
+def _detected(args: argparse.Namespace) -> tuple[Graph, SweepResult, ThresholdReport]:
+    """The graph, its grid's rankings as ``_RankedFromTop`` scores them, and
+    the threshold detected over them: the steps ``threshold`` and ``states`` share."""
     grid = parse_grid(args.grid)
     check_detection_grid(grid)
     graph = _load_graph(args.input)
     rankings = _RankedFromTop(graph, grid, args.jobs)
     result = SweepResult(grid=grid, score_tables=(), rankings=rankings)
-    report = detect_threshold(result, relaxed_tau=args.relaxed_tau)
+    return graph, result, detect_threshold(result, relaxed_tau=args.relaxed_tau)
+
+
+def cmd_threshold(args: argparse.Namespace) -> Result:
+    graph, result, report = _detected(args)
     top10 = report.stable_ranking.top(10) if report.stable_ranking else None
     fields = {
         "p_value": report.p_value,
@@ -220,14 +227,12 @@ def cmd_threshold(args: argparse.Namespace) -> Result:
 
 
 def cmd_states(args: argparse.Namespace) -> Result:
-    """The q=0, q=1 and stable orderings; its grid rule is ``threshold``'s."""
-    grid = parse_grid(args.grid)
-    check_detection_grid(grid)
-    graph = _load_graph(args.input)
-    states = three_states(graph, grid, relaxed_tau=args.relaxed_tau, jobs=args.jobs)
+    """The q=0, q=1 and stable orderings: the stable one as ``threshold``
+    detects it, q = 0 and q = 1 scored alone, on the grid or off it."""
+    graph, _, report = _detected(args)
+    orders = [rank(score_all(graph, q)) for q in (0.0, 1.0)] + [report.stable_ranking]
     fields, rows = {}, []
-    for state, row_name in _STATE_ROW_NAMES.items():
-        order = getattr(states, f"order_{state}")
+    for (state, row_name), order in zip(_STATE_ROW_NAMES.items(), orders):
         fields[f"order_{state}"] = list(order.ordered_labels) if order else None
         rows.append((row_name, _csv_lines([order.ordered_labels])[0] if order else "none"))
     return fields, _STATES_HEADER, rows
@@ -235,9 +240,10 @@ def cmd_states(args: argparse.Namespace) -> Result:
 
 def _load_ranking_csv(path: str, state: str) -> Ranking:
     """Read a ranking of at least one label back from cmd_rank or cmd_states
-    CSV output: rows of the header's field count, in any order, ranked 1..n
-    once each or naming each state once. A states cell holds every label,
-    so the field limit is lifted while it is read."""
+    CSV output: rows of the header's field count, in any order, naming each
+    state once or ranked 1..n once each, compared as text with ``lse rank``'s
+    spelling, so no int-string limit applies. A states cell holds every
+    label, so the field limit is lifted while it is read."""
     limit = csv.field_size_limit(2**31 - 1)  # the most a 32-bit C long holds
     try:
         with _reading(path, newline="") as handle:
@@ -247,12 +253,14 @@ def _load_ranking_csv(path: str, state: str) -> Ranking:
             header = tuple(rows[0])
             if header == _RANK_HEADER:
                 try:
-                    by_rank = {int(rank): label for label, _, _, rank in rows[1:]}
-                except ValueError:  # a field count other than 4, or a rank not an int
+                    by_rank = {rank: label for label, _, _, rank in rows[1:]}
+                except ValueError:  # a field count other than 4
                     raise ValueError("malformed ranking row") from None
-                ranks = range(1, len(rows))
+                ranks = list(map(str, range(1, len(rows))))
                 if by_rank.keys() != set(ranks):
-                    raise ValueError(f"rank column does not hold 1..{len(ranks)} once each")
+                    if all(r.isascii() and r.removeprefix("-").isdecimal() for r in by_rank):
+                        raise ValueError(f"rank column does not hold 1..{len(ranks)} once each")
+                    raise ValueError("malformed ranking row")
                 ranking = Ranking(map(by_rank.__getitem__, ranks))
             elif header == _STATES_HEADER:
                 named = {}  # each state's row; a row already there is another list

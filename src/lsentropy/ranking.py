@@ -166,7 +166,9 @@ class SweepResult:
 
     ``sweep`` gives tuples of both. Detection and refine read only
     ``grid`` and ``rankings``, and ``rankings`` only through ``reversed()``,
-    so rankings scored as they are read from the top down will do there.
+    so rankings scored as they are read from the top down will do there:
+    ``lse threshold`` and ``lse states`` detect over such rankings, with
+    no score tables.
     """
 
     grid: tuple[float, ...]
@@ -186,15 +188,6 @@ class ThresholdReport:
     p_value: float | None
     stable_ranking: Ranking | None
     suffix_length: int
-
-
-@dataclass(frozen=True)
-class ThreeStates:
-    """The three canonical orderings: q=0, q=1, and the stable suffix."""
-
-    order_q0: Ranking
-    order_q1: Ranking
-    order_stable: Ranking | None
 
 
 @dataclass(frozen=True)
@@ -388,23 +381,6 @@ def refine_threshold(
         else:
             lo = mid
     return hi
-
-
-def three_states(
-    graph: Graph, grid, relaxed_tau: float | None = None, jobs: int = 1
-) -> ThreeStates:
-    """Rankings at q=0 and q=1 plus the stable ranking detected over a
-    ``sweep`` of ``grid`` over ``jobs`` processes. The q=0 and q=1
-    rankings come from that sweep where the grid holds those points, and
-    are scored alone where it does not; no point's ranking depends on
-    which others are scored, so either way they are the same."""
-    result = sweep(graph, grid, jobs)
-    report = detect_threshold(result, relaxed_tau=relaxed_tau)
-    swept = dict(zip(result.grid, result.rankings))
-    order_q0, order_q1 = (
-        swept[q] if q in swept else rank(score_all(graph, q)) for q in (0.0, 1.0)
-    )
-    return ThreeStates(order_q0, order_q1, report.stable_ranking)
 
 
 def _discordant_pairs(order: list[int]) -> int:

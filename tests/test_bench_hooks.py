@@ -42,6 +42,16 @@ CASES = {
             "ranking.compare", "graph.validate", "entropy.share",
         },
     ),
+    # states detects through the same cli names as threshold, so a traced
+    # run records the same spans; the probe adds what states does not call.
+    "states": (
+        ["states", "--input", "{karate}"],
+        {
+            "graph.load", "ranking.sweep", "entropy.score", "ranking.rank",
+            "ranking.detect_exact", "ranking.detect_relaxed", "ranking.refine",
+            "ranking.compare", "graph.validate", "entropy.share",
+        },
+    ),
     "sweep": (
         ["sweep", "--input", "{karate}"],
         {

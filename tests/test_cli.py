@@ -16,6 +16,7 @@ import pytest
 
 from lsentropy import (
     default_grid,
+    detect_threshold,
     karate_edges_path,
     load_edge_list,
     local_structure_entropy,
@@ -23,7 +24,6 @@ from lsentropy import (
     rank,
     score_all,
     sweep,
-    three_states,
 )
 from lsentropy import cli, ranking
 from lsentropy.cli import main
@@ -108,6 +108,14 @@ def test_rank_rejects_negative_q(capsys, triangle_path):
     code, out, err = _run(capsys, "rank", "--input", triangle_path, "--q", "-1")
     assert code == 1 and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rank_writes_minus_zero_q_as_zero(capsys, triangle_path, fmt):
+    argv = ("rank", "--input", triangle_path, "--format", fmt, "--q")
+    plain = _run(capsys, *argv, "0")
+    assert plain[0] == 0
+    assert _run(capsys, *argv, "-0") == plain
 
 
 def test_sweep_default_grid_row_count(capsys, karate_path, karate):
@@ -379,6 +387,61 @@ def test_threshold_scores_the_same_grid_slices_in_the_same_order(
     assert scored == [grid[lo:hi] for lo, hi in _THRESHOLD_SLICES[graph, jobs]]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
+@pytest.mark.parametrize(
+    "grid",
+    [*_SHORT_GRIDS.values(), "0.5,1", "0,0.5", "0,1,2,3"],
+    ids=[
+        *(f"{k}-point-grid" for k in _SHORT_GRIDS), "q1-on-grid", "q0-on-grid", "both-on-grid",
+    ],
+)
+def test_states_rows_match_detection_over_a_full_sweep(
+    capsys, monkeypatch, karate_path, karate, grid, jobs
+):
+    """states detects through threshold's top-down path; its stable row
+    must be detection's over one sweep of the whole grid, and its q = 0
+    and q = 1 rows the rankings scored alone there, on the grid or off
+    it, whatever --jobs is, so the bytes are the same for every --jobs."""
+    monkeypatch.setattr(cli, "_job_count", lambda requested: requested)  # any CPU count
+    alone = [list(rank(score_all(karate, q)).ordered_labels) for q in (0.0, 1.0)]
+    for tau in (None, 0.05):
+        relaxed = [] if tau is None else ["--relaxed-tau", str(tau)]
+        argv = ["states", "--input", karate_path, "--grid", grid, "--jobs", jobs, *relaxed]
+        stable = detect_threshold(sweep(karate, parse_grid(grid)), relaxed_tau=tau).stable_ranking
+        expected = [*alone, list(stable.ordered_labels) if stable else None]
+        code, out, err = _run(capsys, *argv, "--format", "json")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert [payload[f"order_{s}"] for s in ("q0", "q1", "stable")] == expected, argv
+        code, out, err = _run(capsys, *argv)
+        assert code == 0 and err == ""
+        cells = [None if c == "none" else next(csv.reader([c])) for _, c in _rows(out)[1:]]
+        assert cells == expected, argv
+
+
+def test_states_scores_what_threshold_scores_plus_two(capsys, monkeypatch, karate_path):
+    """states detects as threshold does, then scores q = 0 and q = 1 alone:
+    on karate's default grid at --jobs 1, 7 points exact and 15 relaxed."""
+    real = ranking.score_all
+    for relaxed, points in (([], 7), (["--relaxed-tau", "0.05"], 15)):
+        scored = {}
+        for command in ("threshold", "states"):
+            calls = scored[command] = []
+
+            def counting(graph, q, calls=calls):
+                calls.append(q)
+                return real(graph, q)
+
+            with monkeypatch.context() as counted:
+                counted.setattr(ranking, "score_all", counting)
+                counted.setattr(cli, "score_all", counting)
+                argv = (command, "--input", karate_path, "--jobs", "1", *relaxed)
+                code, _, err = _run(capsys, *argv)
+            assert code == 0 and err == "", err
+        assert scored["states"] == [*scored["threshold"], 0.0, 1.0], relaxed
+        assert len(scored["states"]) == points, relaxed
+
+
 def test_states_karate_rows(capsys, karate_path):
     code, out, _ = _run(capsys, "states", "--input", karate_path)
     assert code == 0
@@ -418,7 +481,7 @@ def test_states_scores_zero_and_one_off_the_grid(capsys, karate_path, karate, re
         assert cells[f"Order_q{q}"] == [row[0] for row in _rows(ranked)[1:]]
     # Exact detection finds 2 and 3 apart; T = 0.05 takes them as one.
     tau = float(relaxed[1]) if relaxed else None
-    stable = three_states(karate, (2.0, 3.0), relaxed_tau=tau).order_stable
+    stable = detect_threshold(sweep(karate, (2.0, 3.0)), relaxed_tau=tau).stable_ranking
     assert (stable is None) == (not relaxed)
     assert cells["Order_stable"] == (list(stable.ordered_labels) if stable else ["none"])
 
@@ -446,8 +509,8 @@ def test_states_relaxed_tau_finds_stable_row(capsys, karate_path, karate):
     stable = next(csv.reader([cell]))
     assert name == "Order_stable"
     assert stable == list(sweep(karate, parse_grid(grid)).rankings[-1].ordered_labels)
-    states = three_states(karate, parse_grid(grid), relaxed_tau=0.05)
-    assert list(states.order_stable.ordered_labels) == stable
+    report = detect_threshold(sweep(karate, parse_grid(grid)), relaxed_tau=0.05)
+    assert list(report.stable_ranking.ordered_labels) == stable
     _, out, _ = _run(capsys, *argv, "--relaxed-tau", "0.05", "--format", "json")
     payload = json.loads(out)
     assert payload["config"]["relaxed_tau"] == 0.05
@@ -679,8 +742,16 @@ def _compare_refuses(capsys, path, *options):
 
 @pytest.mark.parametrize(
     "ranks",
-    [(7, 7, -3), (1, 1, 2), (1, 2, 4), (0, 1, 2), (2, 3, 4)],
-    ids=["repeated-and-negative", "repeated", "past-n", "zero", "shifted"],
+    [
+        (7, 7, -3), (1, 1, 2), (1, 2, 4), (0, 1, 2), (2, 3, 4),
+        # lse rank writes no leading zero; int() of the long one depends
+        # on the int-string limit.
+        (1, "02", 3), ("0" * 700 + "1", 2, 3),
+    ],
+    ids=[
+        "repeated-and-negative", "repeated", "past-n", "zero", "shifted",
+        "leading-zero", "700-zeros",
+    ],
 )
 def test_compare_refuses_a_rank_column_other_than_1_to_n(capsys, tmp_path, ranks):
     path = tmp_path / "ranks.csv"
@@ -691,8 +762,15 @@ def test_compare_refuses_a_rank_column_other_than_1_to_n(capsys, tmp_path, ranks
 
 @pytest.mark.parametrize(
     "row",
-    ["b,1,0.5", "b,1,1.0,2,extra", "b,1,0.5,two"],
-    ids=["three-cells", "five-cells", "non-integer-rank"],
+    [
+        "b,1,0.5", "b,1,1.0,2,extra", "b,1,0.5,two",
+        # Spellings of 2 that int() reads and lse rank never writes.
+        "b,1,0.5,+2", "b,1,0.5, 2", "b,1,0.5,0_2", "b,1,0.5,\u0662",
+    ],
+    ids=[
+        "three-cells", "five-cells", "non-integer-rank",
+        "plus-sign", "leading-space", "underscore", "arabic-indic-digit",
+    ],
 )
 def test_compare_refuses_a_malformed_ranking_row(capsys, tmp_path, row):
     path = tmp_path / "ranks.csv"

@@ -31,7 +31,6 @@ from lsentropy import (
     refine_threshold,
     score_all,
     sweep,
-    three_states,
 )
 from lsentropy.cli import main
 from lsentropy.ranking import (
@@ -226,8 +225,6 @@ def test_sweep_parallel_equals_serial(karate):
         assert serial == SweepResult(grid, tables, tuple(map(rank, tables)))
         for jobs in (2, 3, len(grid) + 5):
             assert sweep(graph, grid, jobs=jobs) == serial
-    states_grid = (0.0, 1.0, 2.0, 3.0)
-    assert three_states(karate, states_grid, jobs=3) == three_states(karate, states_grid)
 
 
 def test_sweep_of_graphs_with_fewer_than_two_nodes():
@@ -647,38 +644,21 @@ def test_refine_relaxed_accepts_exactly_the_tau_floor(monkeypatch):
     assert refine_threshold(None, result, report, relaxed_tau=0.01) == 0.3125
 
 
-def test_three_states_path_center_first():
+def _q0_q1_stable(graph, grid):
+    """The q=0, q=1 and stable orderings, as the library composes them."""
+    stable = detect_threshold(sweep(graph, grid)).stable_ranking
+    return rank(score_all(graph, 0.0)), rank(score_all(graph, 1.0)), stable
+
+
+def test_path_center_first_at_q0_q1_and_stable():
     g = load_edge_list("a b\nb c\n")
-    states = three_states(g, (0.0, 1.0, 2.0, 3.0))
-    for order in (states.order_q0, states.order_q1, states.order_stable):
+    for order in _q0_q1_stable(g, (0.0, 1.0, 2.0, 3.0)):
         assert order.ordered_labels[0] == "b"
 
 
-def test_three_states_complete_graph_all_identical():
-    g = _complete_graph_k5()
-    states = three_states(g, (0.0, 1.0, 2.0))
-    assert states.order_q0 == states.order_q1 == states.order_stable
-
-
-def test_three_states_scores_zero_and_one_off_the_grid(karate):
-    at_zero, at_one = (rank(score_all(karate, q)) for q in (0.0, 1.0))
-    for grid in ((0.5, 1.0), (0.0, 0.5)):
-        states = three_states(karate, grid)
-        assert (states.order_q0, states.order_q1) == (at_zero, at_one)
-        assert states.order_stable == detect_threshold(sweep(karate, grid)).stable_ranking
-
-
-def test_three_states_scores_each_default_point_once(karate, monkeypatch):
-    calls = []
-    real = ranking_module.score_all
-
-    def counting(graph, q):
-        calls.append(q)
-        return real(graph, q)
-
-    monkeypatch.setattr(ranking_module, "score_all", counting)
-    three_states(karate, default_grid())
-    assert calls == list(default_grid())
+def test_complete_graph_q0_q1_and_stable_identical():
+    order_q0, order_q1, order_stable = _q0_q1_stable(_complete_graph_k5(), (0.0, 1.0, 2.0))
+    assert order_q0 == order_q1 == order_stable
 
 
 def test_extending_grid_never_lowers_p_value(karate):
