@@ -70,7 +70,7 @@ def tsallis_entropy(probs: Iterable[float], q: float) -> float:
     """
     terms, entropies = _tsallis_at(_checked_entropic_index(q))
     [entropy] = entropies([math.fsum(terms(_checked_distribution(probs)))])
-    return entropy
+    return entropy + 0.0  # a one-point distribution's -0.0 becomes 0.0
 
 
 def _tsallis_at(q: float) -> tuple[

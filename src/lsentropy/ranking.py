@@ -362,12 +362,15 @@ def refine_threshold(
     onset (assuming stability is monotone in q). Falls back to the
     reported p_value when it sits on the first grid point; None when no
     threshold was detected. A bad ``relaxed_tau`` raises ValueError on
-    every path, whether or not a midpoint is scored.
+    every path, whether or not a midpoint is scored, and so does a report
+    whose p_value is not a point of ``result.grid``.
     """
     if relaxed_tau is not None:
         _discordant_limit(0, relaxed_tau)
     if report.p_value is None or report.stable_ranking is None:
         return None
+    if report.p_value not in result.grid:
+        raise ValueError(f"p_value {report.p_value!r} is not a point of the grid")
     index = result.grid.index(report.p_value)
     if index == 0:
         return report.p_value

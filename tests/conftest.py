@@ -1,12 +1,19 @@
 """Shared fixtures and the acceptance-criteria summary."""
 import pytest
 
-from lsentropy import load_karate
+from lsentropy import cli, load_karate
 
 
 @pytest.fixture(scope="session")
 def karate():
     return load_karate()
+
+
+@pytest.fixture()
+def jobs_as_requested(monkeypatch):
+    """``--jobs N`` runs N processes, whatever the host's CPU count."""
+    job_count = cli._job_count
+    monkeypatch.setattr(cli, "_job_count", lambda requested: requested or job_count(None))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

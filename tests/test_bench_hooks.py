@@ -6,7 +6,7 @@ wrappers and probes ``Graph(labels=, adjacency=)`` and
 never starts it, so a renamed or deleted hook would break ``--trace 1``
 unseen. Each case runs it in a subprocess, on karate or on a 12-node
 cycle, and checks its exit status, its output bytes against an untraced
-run, and its span names.
+``python -m lsentropy.cli`` run of the same ``src``, and its span names.
 """
 import json
 import os
@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-import lsentropy
 from lsentropy import karate_edges_path
 from lsentropy.cli import main
 
@@ -85,20 +84,19 @@ def inputs(tmp_path_factory):
 
 @pytest.mark.parametrize("command", sorted(CASES))
 def test_traced_run_matches_untraced_and_records_spans(command, inputs, tmp_path):
+    """Both runs import this checkout's ``src``, where the traced runner
+    always imports it from, whichever ``lsentropy`` the tests import."""
     template, expected_spans = CASES[command]
     argv = [arg.format(**inputs) for arg in template]
     untraced, traced, spans = (tmp_path / n for n in ("untraced", "traced", "spans.json"))
-    assert main([*argv, "--output", str(untraced)]) == 0
-    src = str(Path(lsentropy.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [
-            sys.executable, str(ROOT / "perfbench" / "traced_cli.py"),
-            str(spans), "hooks", *argv, "--output", str(traced),
-        ],
-        env=env, capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    traced_cli = [str(ROOT / "perfbench" / "traced_cli.py"), str(spans), "hooks"]
+    for runner, output in ((["-m", "lsentropy.cli"], untraced), (traced_cli, traced)):
+        proc = subprocess.run(
+            [sys.executable, *runner, *argv, "--output", str(output)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
     assert traced.read_bytes() == untraced.read_bytes()
     names = {span["name"] for span in json.loads(spans.read_text())["spans"]}
     assert expected_spans <= names, sorted(expected_spans - names)

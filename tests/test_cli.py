@@ -14,7 +14,9 @@ from types import SimpleNamespace
 
 import pytest
 
+import reference
 from lsentropy import (
+    DEFAULT_GRID_SPEC,
     default_grid,
     detect_threshold,
     karate_edges_path,
@@ -37,6 +39,19 @@ def _run(capsys, *argv):
 
 def _rows(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+def _reference(argv):
+    """The reference model's bytes for ``lse argv``, any command but
+    compare, its arguments parsed as the CLI parses them."""
+    args = cli.build_parser().parse_args(argv)
+    path, fmt, tau = args.input, args.format, getattr(args, "relaxed_tau", None)
+    return {
+        "rank": lambda: reference.rank(path, args.q, fmt),
+        "sweep": lambda: reference.sweep(path, args.grid, fmt),
+        "threshold": lambda: reference.threshold(path, args.grid, tau, args.refine, fmt),
+        "states": lambda: reference.states(path, args.grid, tau, fmt),
+    }[args.command]()
 
 
 @pytest.fixture(scope="session")
@@ -289,38 +304,31 @@ _SHORT_GRIDS = {2: "8,10", **{k: f"{11 - k}:10:1" for k in range(3, 10)}}
     ids=["karate-default-grid", "cycle", *(f"{k}-point-grid" for k in _SHORT_GRIDS)],
 )
 def test_threshold_bytes_match_detection_over_a_full_sweep(
-    capsys, monkeypatch, karate_path, cycle_path, graph, grid, jobs
+    capsys, monkeypatch, jobs_as_requested, karate_path, cycle_path, graph, grid, jobs
 ):
     """threshold scores the grid from its top down in blocks, as detection
-    reads it; its bytes must be those of detection over one sweep of the
-    whole grid. The short grids leave every remainder for the top block,
-    and on the cycle every block is read. The last block scored holds at
-    least 2 points, so that detection could run over it alone."""
-    monkeypatch.setattr(cli, "_job_count", lambda requested: requested)  # any CPU count
+    reads it; its bytes must be the reference model's, which detects over
+    one sweep of the whole grid. The short grids leave every remainder for
+    the top block, and on the cycle every block is read. The last block
+    scored holds at least 2 points, so that detection could run over it
+    alone."""
     path = karate_path if graph == "karate" else cycle_path
     base = ["threshold", "--input", path, "--jobs", jobs]
     base += ["--grid", grid] if grid else []
-    options = itertools.product(
-        ("csv", "json"), ([], ["--relaxed-tau", "0.05"]), ([], ["--refine"])
-    )
-    for fmt, relaxed, refine in options:
-        argv = [*base, "--format", fmt, *relaxed, *refine]
+    options = itertools.product(("csv", "json"), (None, 0.05), (False, True))
+    for fmt, tau, refine in options:
+        relaxed = ["--relaxed-tau", str(tau)] if tau else []
+        argv = [*base, "--format", fmt, *relaxed, *["--refine"] * refine]
         sizes = []
 
         def recording_sweep(g, grid, jobs=1):
             sizes.append(len(grid))
             return sweep(g, grid, jobs=jobs)
 
-        with monkeypatch.context() as recorded:
-            recorded.setattr(cli, "sweep", recording_sweep)
-            by_block = _run(capsys, *argv)
-        with monkeypatch.context() as eager:
-            eager.setattr(
-                cli, "_RankedFromTop", lambda g, grid, jobs: sweep(g, grid, jobs).rankings
-            )
-            whole = _run(capsys, *argv)
-        assert by_block[0] == 0, by_block[2]
-        assert by_block == whole, argv
+        monkeypatch.setattr(cli, "sweep", recording_sweep)
+        code, out, err = _run(capsys, *argv)
+        assert code == 0, err
+        assert out.encode() == _reference(argv), argv
         assert sizes[-1] >= 2, (argv, sizes)
 
 
@@ -328,7 +336,7 @@ def test_threshold_bytes_match_detection_over_a_full_sweep(
 @pytest.mark.parametrize("relaxed", [[], ["--relaxed-tau", "0.05"]], ids=["exact", "relaxed"])
 @pytest.mark.parametrize("graph", ["karate", "cycle"])
 def test_threshold_scores_only_the_blocks_detection_reads(
-    capsys, monkeypatch, karate_path, cycle_path, graph, relaxed, jobs
+    capsys, monkeypatch, jobs_as_requested, karate_path, cycle_path, graph, relaxed, jobs
 ):
     """Detection reads the stable suffix and the point below it, so the
     blocks of 2 * jobs points that hold them are all that is scored; each
@@ -344,7 +352,6 @@ def test_threshold_scores_only_the_blocks_detection_reads(
         return result
 
     monkeypatch.setattr(cli, "sweep", counting_sweep)
-    monkeypatch.setattr(cli, "_job_count", lambda requested: requested)  # any CPU count
     path = karate_path if graph == "karate" else cycle_path
     code, out, err = _run(capsys, "threshold", "--input", path, "--jobs", str(jobs), *relaxed)
     assert code == 0, err
@@ -367,7 +374,7 @@ _THRESHOLD_SLICES = {
 
 @pytest.mark.parametrize("graph, jobs", sorted(_THRESHOLD_SLICES))
 def test_threshold_scores_the_same_grid_slices_in_the_same_order(
-    capsys, monkeypatch, karate_path, cycle_path, graph, jobs
+    capsys, monkeypatch, jobs_as_requested, karate_path, cycle_path, graph, jobs
 ):
     """The blocks threshold scores, top block first: detection stops early
     on karate and reads every point of the cycle."""
@@ -379,7 +386,6 @@ def test_threshold_scores_the_same_grid_slices_in_the_same_order(
         return real_sweep(graph, grid, jobs=jobs)
 
     monkeypatch.setattr(cli, "sweep", recording_sweep)
-    monkeypatch.setattr(cli, "_job_count", lambda requested: requested)  # any CPU count
     path = karate_path if graph == "karate" else cycle_path
     code, _, err = _run(capsys, "threshold", "--input", path, "--jobs", str(jobs))
     assert code == 0, err
@@ -396,27 +402,19 @@ def test_threshold_scores_the_same_grid_slices_in_the_same_order(
     ],
 )
 def test_states_rows_match_detection_over_a_full_sweep(
-    capsys, monkeypatch, karate_path, karate, grid, jobs
+    capsys, jobs_as_requested, karate_path, grid, jobs
 ):
-    """states detects through threshold's top-down path; its stable row
-    must be detection's over one sweep of the whole grid, and its q = 0
-    and q = 1 rows the rankings scored alone there, on the grid or off
-    it, whatever --jobs is, so the bytes are the same for every --jobs."""
-    monkeypatch.setattr(cli, "_job_count", lambda requested: requested)  # any CPU count
-    alone = [list(rank(score_all(karate, q)).ordered_labels) for q in (0.0, 1.0)]
-    for tau in (None, 0.05):
+    """states detects through threshold's top-down path; its bytes must be
+    the reference model's, whose stable row is detection's over one sweep
+    of the whole grid and whose q = 0 and q = 1 rows are the rankings
+    scored alone there, on the grid or off it, whatever --jobs is."""
+    for tau, fmt in itertools.product((None, 0.05), ("csv", "json")):
         relaxed = [] if tau is None else ["--relaxed-tau", str(tau)]
         argv = ["states", "--input", karate_path, "--grid", grid, "--jobs", jobs, *relaxed]
-        stable = detect_threshold(sweep(karate, parse_grid(grid)), relaxed_tau=tau).stable_ranking
-        expected = [*alone, list(stable.ordered_labels) if stable else None]
-        code, out, err = _run(capsys, *argv, "--format", "json")
-        assert code == 0 and err == ""
-        payload = json.loads(out)
-        assert [payload[f"order_{s}"] for s in ("q0", "q1", "stable")] == expected, argv
+        argv += ["--format", fmt]
         code, out, err = _run(capsys, *argv)
         assert code == 0 and err == ""
-        cells = [None if c == "none" else next(csv.reader([c])) for _, c in _rows(out)[1:]]
-        assert cells == expected, argv
+        assert out.encode() == _reference(argv), argv
 
 
 def test_states_scores_what_threshold_scores_plus_two(capsys, monkeypatch, karate_path):
@@ -642,75 +640,6 @@ def test_compare_label_holding_a_nul_byte_is_read_or_refused_naming_the_file(
         assert str(path) in err
 
 
-def test_compare_states_q0_vs_q1(capsys, karate_path, karate, tmp_path):
-    states_path = tmp_path / "states.csv"
-    assert main(
-        ["states", "--input", karate_path, "--output", str(states_path)]
-    ) == 0
-    capsys.readouterr()
-    code, out, _ = _run(
-        capsys,
-        "compare",
-        str(states_path),
-        str(states_path),
-        "--state-a",
-        "q0",
-        "--state-b",
-        "q1",
-    )
-    assert code == 0
-    got = float(_rows(out)[1][0])
-    # brute-force pair enumeration over the two library rankings
-    a = rank(score_all(karate, 0.0)).ordered_labels
-    b = rank(score_all(karate, 1.0)).ordered_labels
-    pos_a = {lab: i for i, lab in enumerate(a)}
-    pos_b = {lab: i for i, lab in enumerate(b)}
-    concordant = discordant = 0
-    for x, y in itertools.combinations(a, 2):
-        sign = (pos_a[x] - pos_a[y]) * (pos_b[x] - pos_b[y])
-        if sign > 0:
-            concordant += 1
-        else:
-            discordant += 1
-    oracle = (concordant - discordant) / (concordant + discordant)
-    assert got == pytest.approx(oracle, abs=1e-12)
-
-
-def test_label_lists_round_trip_commas_and_quotes(capsys, tmp_path):
-    edges = tmp_path / "commas.edges"
-    edges.write_text('a,b x\nx y\ny a,b\ny z\nz w\nw say"hi"\n', encoding="utf-8")
-    graph_labels = {"a,b", "x", "y", "z", "w", 'say"hi"'}
-    rank_path, states_path = tmp_path / "r.csv", tmp_path / "s.csv"
-    assert main(["rank", "--input", str(edges), "--q", "1", "--output", str(rank_path)]) == 0
-    assert main(["states", "--input", str(edges), "--output", str(states_path)]) == 0
-    capsys.readouterr()
-
-    states = {row[0]: next(csv.reader([row[1]])) for row in _rows(states_path.read_text())[1:]}
-    assert set(states["Order_q0"]) == set(states["Order_q1"]) == graph_labels
-    code, out, _ = _run(capsys, "threshold", "--input", str(edges))
-    assert code == 0
-    fields = dict(_rows(out)[1:])
-    assert next(csv.reader([fields["stable_top10"]])) == states["Order_stable"]
-
-    code, out, err = _run(
-        capsys, "compare", str(states_path), str(states_path),
-        "--state-a", "q0", "--state-b", "q1", "--format", "json",
-    )
-    assert code == 0, err
-    a, b = states["Order_q0"], states["Order_q1"]
-    discordant = sum(
-        (a.index(x) - a.index(y)) * (b.index(x) - b.index(y)) < 0
-        for x, y in itertools.combinations(a, 2)
-    )
-    pairs = len(a) * (len(a) - 1) // 2
-    assert json.loads(out)["kendall_tau"] == pytest.approx(1 - 2 * discordant / pairs)
-
-    code, out, err = _run(capsys, "compare", str(rank_path), str(states_path), "--state-b", "q1")
-    assert code == 0 and err == ""
-    # identical rankings of 6 labels: tau-b's float reads 0.9999999999999999
-    assert [float(x) for x in _rows(out)[1]] == pytest.approx([1.0, 1.0, 1.0])
-
-
 def test_compare_label_mismatch_lists_difference(capsys, tmp_path):
     header = "label,degree,entropy,rank\n"
     a = tmp_path / "a.csv"
@@ -861,53 +790,26 @@ def test_compare_json_payload(capsys, karate_path, tmp_path):
     ids=lambda argv: "_".join(argv),
 )
 def test_csv_and_json_carry_the_same_content(capsys, karate_path, tmp_path, argv):
+    """Both formats write the reference model's bytes, which it builds
+    from one set of values."""
     if argv == ["compare"]:
-        rank_path, states_path = tmp_path / "rank.csv", tmp_path / "states.csv"
-        assert main(["rank", "--input", karate_path, "--q", "1", "--output", str(rank_path)]) == 0
-        assert main(["states", "--input", karate_path, "--output", str(states_path)]) == 0
-        argv = ["compare", str(rank_path), str(states_path), "--state-b", "stable"]
-    else:
-        argv = [*argv, "--input", karate_path]
-    code, csv_out, err = _run(capsys, *argv)
-    assert code == 0, err
-    code, json_out, err = _run(capsys, *argv, "--format", "json")
-    assert code == 0, err
-    header, *body = _rows(csv_out)
-    payload = json.loads(json_out)
-    assert payload["command"] == payload["config"]["command"] == argv[0]
-    fields = {k: v for k, v in payload.items() if k not in ("command", "config")}
+        paths = [str(tmp_path / "rank.csv"), str(tmp_path / "states.csv")]
+        assert main(["rank", "--input", karate_path, "--q", "1", "--output", paths[0]]) == 0
+        assert main(["states", "--input", karate_path, "--output", paths[1]]) == 0
+        argv = ["compare", *paths, "--state-b", "stable"]
+        a = reference.ranking(reference.load(karate_path), 1.0)
+        b = reference.states_orders(karate_path, DEFAULT_GRID_SPEC, None)["stable"]
+        config = dict(input_a=paths[0], input_b=paths[1], state_a="q0", state_b="stable")
 
-    if argv[0] in ("rank", "sweep"):
-        assert len(body) == len(fields["rows"])
-        for row, record in zip(body, fields["rows"]):
-            assert list(record) == header
-            expected = [str(value) for value in record.values()]
-            expected[header.index("entropy")] = f"{record['entropy']:.6f}"
-            assert row == expected
-    elif argv[0] == "threshold":
-        assert header == ["field", "value"]
-        cells = dict(body)
-        assert set(cells) == set(fields)
-        for name, cell in cells.items():
-            value = fields[name]
-            if value is None:
-                assert cell == "null"
-            elif name == "stable_top10":
-                assert next(csv.reader([cell])) == value
-            else:
-                assert cell == str(value)
-    elif argv[0] == "states":
-        assert header == ["state", "order"]
-        assert [row[0] for row in body] == ["Order_q0", "Order_q1", "Order_stable"]
-        for (name, cell), (key, value) in zip(body, fields.items()):
-            assert key == name.lower()
-            if value is None:
-                assert cell == "none"
-            else:
-                assert next(csv.reader([cell])) == value
+        def model(full):
+            return reference.compare(a, b, {**config, "format": full[-1]})
+
     else:
-        assert header == list(fields)
-        assert body == [[str(value) for value in fields.values()]]
+        argv, model = [*argv, "--input", karate_path], _reference
+    for fmt in ("csv", "json"):
+        code, out, err = _run(capsys, *argv, "--format", fmt)
+        assert code == 0, err
+        assert out.encode() == model([*argv, "--format", fmt]), fmt
 
 
 def test_output_file_matches_stdout(capsys, triangle_path, tmp_path):
@@ -946,73 +848,6 @@ def test_output_file_matches_stdout(capsys, triangle_path, tmp_path):
     assert not bad_path.exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["rank", "--q", "1.5"], ["sweep", "--grid", "0,0.25,1,2.2"]],
-    ids=lambda argv: argv[0],
-)
-def test_table_csv_bytes_match_csv_writer(capsys, tmp_path, argv):
-    # The table CSV is formatted by hand; csv.writer on the JSON rows is the
-    # reference for its quoting, q cells and line endings.
-    edges = tmp_path / "labels.edges"
-    edges.write_text(
-        'a,b say"hi"\nsay"hi" é\né 007\n007 10\n10 a,b\né 10\n', encoding="utf-8"
-    )
-    csv_path, json_path = tmp_path / "table.csv", tmp_path / "table.json"
-    argv = [*argv, "--input", str(edges)]
-    assert main([*argv, "--output", str(csv_path)]) == 0
-    assert main([*argv, "--format", "json", "--output", str(json_path)]) == 0
-    capsys.readouterr()
-
-    rows = json.loads(json_path.read_text(encoding="utf-8"))["rows"]
-    reference = io.StringIO()
-    writer = csv.writer(reference, lineterminator="\n")
-    writer.writerow(rows[0].keys())
-    for row in rows:
-        row["entropy"] = f"{row['entropy']:.6f}"
-        writer.writerow(row.values())
-    assert csv_path.read_bytes() == reference.getvalue().encode("utf-8")
-    assert {row["label"] for row in rows} == {"a,b", 'say"hi"', "é", "007", "10"}
-
-
-def _per_row_csv(argv, header, graph, tables, rankings):
-    """The table CSV written one row at a time by ``csv.writer``."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for table, ranking in zip(tables, rankings):
-        for position, node in enumerate(ranking.order, start=1):
-            label, entropy = graph.labels[node], f"{table.scores[node]:.6f}"
-            if header[0] == "q":
-                writer.writerow([table.q, label, entropy, position])
-            else:
-                writer.writerow([label, graph.degrees[node], entropy, position])
-    return out.getvalue().encode("utf-8")
-
-
-def _per_row_json(argv, header, graph, tables, rankings):
-    """The table JSON built as one dict per row and one ``json.dumps``."""
-    rows = []
-    for table, ranking in zip(tables, rankings):
-        for position, node in enumerate(ranking.order, start=1):
-            columns = {
-                "q": float(table.q),
-                "label": graph.labels[node],
-                "degree": graph.degrees[node],
-            }
-            cells = (columns[header[0]], columns[header[1]], table.scores[node])
-            rows.append(dict(zip(header, (*cells, position))))
-    option, value = argv[1:3]  # --q or --grid, as parsed
-    config = {
-        "command": argv[0],
-        "input": argv[argv.index("--input") + 1],
-        "format": "json",
-        option[2:]: float(value) if option == "--q" else value,
-    }
-    payload = {"command": argv[0], "config": config, "rows": rows}
-    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
-
-
 @pytest.fixture()
 def label_table_input(tmp_path):
     """An edge list whose labels a % template, a CSV reader, a JSON string
@@ -1032,21 +867,12 @@ def label_table_input(tmp_path):
 
 def _table_bytes_match_a_per_row_formatter(capsys, tmp_path, label_table_input, argv, fmt):
     # rank's one block is formatted in this process; sweep's four are
-    # split over --jobs processes.
-    edges, graph = label_table_input
-    argv = [*argv, "--input", edges]
+    # split over --jobs processes. The reference model writes row by row.
+    argv = [*argv, "--input", label_table_input[0], "--format", fmt]
     out_path = tmp_path / f"table.{fmt}"
-    if argv[0] == "rank":
-        table = score_all(graph, float(argv[2]))
-        header, tables, rankings = cli._RANK_HEADER, [table], [rank(table)]
-    else:
-        result = sweep(graph, parse_grid(argv[2]))
-        header = ("q", "label", "entropy", "rank")
-        tables, rankings = result.score_tables, result.rankings
-    assert main([*argv, "--format", fmt, "--output", str(out_path)]) == 0
+    assert main([*argv, "--output", str(out_path)]) == 0
     assert capsys.readouterr().err == ""
-    reference = {"csv": _per_row_csv, "json": _per_row_json}[fmt]
-    assert out_path.read_bytes() == reference(argv, header, graph, tables, rankings)
+    assert out_path.read_bytes() == _reference(argv)
 
 
 _TABLE_ARGVS = pytest.mark.parametrize(
@@ -1199,7 +1025,9 @@ def test_jobs_default_to_and_cap_at_usable_cpus():
     assert cli._job_count(1) == 1
 
 
-def test_failed_worker_exits_1_without_traceback(capsys, monkeypatch, karate_path):
+def test_failed_worker_exits_1_without_traceback(
+    capsys, monkeypatch, jobs_as_requested, karate_path
+):
     real = ranking.score_all
 
     def failing(graph, q):
@@ -1208,7 +1036,6 @@ def test_failed_worker_exits_1_without_traceback(capsys, monkeypatch, karate_pat
         return real(graph, q)
 
     monkeypatch.setattr(ranking, "score_all", failing)
-    monkeypatch.setattr(cli, "_job_count", lambda requested: requested)  # any CPU count
     code, out, err = _run(
         capsys, "sweep", "--input", karate_path, "--grid", "0,1,2", "--jobs", "2"
     )

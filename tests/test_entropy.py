@@ -48,6 +48,12 @@ def test_shannon_branch_matches_direct_formula():
     assert tsallis_entropy(probs, 1.0) == pytest.approx(direct, abs=1e-15)
 
 
+@pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 2.0])
+def test_tsallis_of_a_one_point_distribution_is_positive_zero(q):
+    # The Shannon branch negates 0.0, and q < 1 divides 0.0 by q - 1 < 0.
+    assert math.copysign(1.0, tsallis_entropy([1.0], q)) == 1.0
+
+
 def test_tsallis_continuous_at_shannon_crossover():
     probs = (0.1, 0.2, 0.3, 0.4)
     shannon = tsallis_entropy(probs, 1.0)

@@ -66,6 +66,10 @@ def _swap(order, i):
 def test_label_sort_key_numeric_then_lexicographic():
     labels = ["10", "2", "1a", "b"]
     assert sorted(labels, key=label_sort_key) == ["2", "10", "1a", "b"]
+    # int() accepts a sign, leading zeros, underscores and non-ASCII digits;
+    # labels of one integer value ascend by their strings.
+    order = ["-3", "+7", "07", "7", "\u0667", "\uff17", "10", "1_0", "1a", "b"]
+    assert sorted(order[::-1], key=label_sort_key) == order
 
 
 def test_label_sort_key_order_ignores_the_int_string_limit():
@@ -596,6 +600,13 @@ def test_refine_rejects_a_bad_tolerance_with_nothing_to_bisect():
     assert report.p_value == 0.05
     with pytest.raises(ValueError, match="relaxed tau"):
         refine_threshold(None, result, report, relaxed_tau=0.5)
+
+
+def test_refine_refuses_a_report_from_another_grid(karate):
+    report = detect_threshold(sweep(karate, default_grid()))
+    assert report.p_value == 8.5
+    with pytest.raises(ValueError, match="p_value 8.5 is not a point of the grid"):
+        refine_threshold(karate, sweep(karate, (0.0, 1.0, 2.0)), report)
 
 
 @pytest.mark.parametrize("case", ["lower-neighbour", "no-threshold", "first-point"])
