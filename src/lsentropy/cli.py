@@ -42,16 +42,16 @@ echo as a lone surrogate (0xff as U+DCFF), which JSON holds escaped.
 ``compare`` passes both rankings as loaded to ``compare_rankings``,
 which re-indexes the second into the first's labels once.
 
-``--jobs`` splits a grid command's q points, and a table's blocks, over
-that many processes forked from this one (``_workers.forked_map``);
-it defaults to, and is capped at, the CPUs this process may use.
+``sweep --jobs N`` splits the q points, and the table's blocks, over N
+processes forked from this one (``_workers.forked_map``); N defaults to,
+and is capped at, the CPUs this process may use. No other command forks.
 
 ``sweep`` scores every grid point. ``threshold`` and ``states`` detect
 through ``_detected``, which scores the grid from its top down, in
-blocks of 2 * jobs points counted from its bottom, as detection reads
-them: past the threshold the ranking no longer changes, so detection
-reads the rankings once, from the top, through the stable suffix and
-the point below it, and scoring stops with the block that holds that
+blocks of 2 points counted from its bottom, as detection reads them:
+past the threshold the ranking no longer changes, so detection reads
+the rankings once, from the top, through the stable suffix and the
+point below it, and scoring stops with the block that holds that
 point. ``states`` then scores q = 0 and q = 1 alone: 2 points more.
 """
 from __future__ import annotations
@@ -181,20 +181,18 @@ def cmd_sweep(args: argparse.Namespace) -> Result:
 class _RankedFromTop:
     """The rankings of ``graph`` at each point of ``grid``, scored as
     ``reversed()`` reads them, from the top of the grid down: blocks of
-    2 * jobs points, each one ``sweep`` over ``jobs`` processes, counted
-    from the grid's bottom so that only the top block may hold fewer.
-    Only the block being read is held. Each read scores the grid anew, so
-    it is read once: detection is its only reader.
+    2 points, each one ``sweep`` in this process, counted from the grid's
+    bottom so that only the top block may hold 1, and the last block
+    scored holds 2. Only the block being read is held. Each read scores
+    the grid anew, so it is read once: detection is its only reader.
     """
 
-    def __init__(self, graph: Graph, grid: tuple[float, ...], jobs: int):
-        self._graph, self._grid, self._jobs = graph, grid, jobs
+    def __init__(self, graph: Graph, grid: tuple[float, ...]):
+        self._graph, self._grid = graph, grid
 
     def __reversed__(self) -> Iterator[Ranking]:
-        graph, grid, size = self._graph, self._grid, 2 * self._jobs
-        for lo in reversed(range(0, len(grid), size)):
-            block = sweep(graph, grid[lo : lo + size], jobs=self._jobs)
-            yield from reversed(block.rankings)
+        for lo in reversed(range(0, len(self._grid), 2)):
+            yield from reversed(sweep(self._graph, self._grid[lo : lo + 2]).rankings)
 
 
 def _detected(args: argparse.Namespace) -> tuple[Graph, SweepResult, ThresholdReport]:
@@ -203,7 +201,7 @@ def _detected(args: argparse.Namespace) -> tuple[Graph, SweepResult, ThresholdRe
     grid = parse_grid(args.grid)
     check_detection_grid(grid)
     graph = _load_graph(args.input)
-    rankings = _RankedFromTop(graph, grid, args.jobs)
+    rankings = _RankedFromTop(graph, grid)
     result = SweepResult(grid=grid, score_tables=(), rankings=rankings)
     return graph, result, detect_threshold(result, relaxed_tau=args.relaxed_tau)
 
@@ -385,19 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         default=DEFAULT_GRID_SPEC,
         help=(
-            "q grid: comma-separated values and/or start:stop:step ranges "
+            "q grid: comma-separated values and/or start:stop:step ranges; "
+            "write a spec that starts with '-' as --grid=SPEC "
             f"(default: {DEFAULT_GRID_SPEC})"
-        ),
-    )
-    grid_opts.add_argument(
-        "--jobs",
-        metavar="N",
-        type=int,
-        default=None,
-        help=(
-            "processes that score the grid points and format the sweep table, "
-            "capped at the usable CPUs; output is the same for every N "
-            "(default: the usable CPUs)"
         ),
     )
 
@@ -423,11 +411,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rank.set_defaults(handler=cmd_rank, echo=("input", "format", "q"))
 
-    sub.add_parser(
+    p_sweep = sub.add_parser(
         "sweep",
         parents=[input_opts, grid_opts, output_opts],
         help="score and rank every node at each grid point",
-    ).set_defaults(handler=cmd_sweep, echo=("input", "format", "grid"))
+    )
+    p_sweep.add_argument(
+        "--jobs",
+        metavar="N",
+        type=int,
+        help=(
+            "processes that score the grid points and format the table, "
+            "capped at the usable CPUs; output is the same for every N "
+            "(default: the usable CPUs)"
+        ),
+    )
+    p_sweep.set_defaults(handler=cmd_sweep, echo=("input", "format", "grid"))
 
     p_threshold = sub.add_parser(
         "threshold",

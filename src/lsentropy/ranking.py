@@ -296,7 +296,7 @@ def detect_threshold(
     stable = next(from_top)
     labels, previous = stable.labels, stable.order
     limit = 0 if relaxed_tau is None else _discordant_limit(len(labels), relaxed_tau)
-    positions: list[list[int]] = []  # of the suffix's rankings that differ
+    positions: list[array] = []  # of the suffix's rankings that differ
     upper: list[int] = []  # bounds on each one's count from ``previous``
     suffix_length = 1
     for ranking in from_top:
@@ -421,9 +421,9 @@ def _discordant_pairs(order: list[int]) -> int:
     return discordant
 
 
-def _positions(order: Sequence[int]) -> list[int]:
-    """Inverse permutation, by one O(n) scatter: each id's place in ``order``."""
-    positions = [0] * len(order)
+def _positions(order: Sequence[int]) -> array:
+    """Inverse permutation as an ``array('q')``, by one O(n) scatter."""
+    positions = array("q", [0]) * len(order)
     for place, i in enumerate(order):
         positions[i] = place
     return positions

@@ -1,4 +1,6 @@
 """Shared fixtures and the acceptance-criteria summary."""
+import os
+
 import pytest
 
 from lsentropy import cli, load_karate
@@ -14,6 +16,21 @@ def jobs_as_requested(monkeypatch):
     """``--jobs N`` runs N processes, whatever the host's CPU count."""
     job_count = cli._job_count
     monkeypatch.setattr(cli, "_job_count", lambda requested: requested or job_count(None))
+
+
+@pytest.fixture()
+def forkless_on(monkeypatch):
+    """``forkless_on(cpus)``: this process may use ``cpus`` CPUs, and
+    ``os.fork`` raises, so a command that would start a process fails."""
+
+    def fork():
+        raise AssertionError("os.fork called")
+
+    def on(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "fork", fork)
+
+    return on
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,8 +1,9 @@
 """A plain reference model of the five ``lse`` subcommands.
 
 Each command function returns the bytes ``lse`` writes for it. The model
-reads a graph with ``load_edge_list`` and scores each node with the
-per-node ``local_structure_entropy``; it restates everything else by its
+reads an edge-list file by README's input rules, builds the graph with
+``load_edge_list`` and scores each node with the per-node
+``local_structure_entropy``; it restates everything else by its
 definition, with none of the implementation's shortcuts: one ``sorted``
 per q, a full sweep of the grid, detection and refine from pairwise
 counts, Kendall tau from an O(n^2) count, and ``csv.writer`` and one
@@ -50,8 +51,16 @@ def grid_points(spec):
 
 
 def load(path):
-    with open(path, encoding="utf-8-sig") as handle:
-        return load_edge_list(handle)
+    """README's input format, restated: UTF-8, a leading byte-order mark
+    dropped, lines ending at LF, CRLF or CR, blank lines and lines whose
+    first label starts with ``#`` skipped; ``load_edge_list`` builds the
+    graph from the other lines' label pairs, one LF line each."""
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8").removeprefix("\ufeff")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    pairs = [line.split() for line in lines]
+    edges = [pair for pair in pairs if pair and not pair[0].startswith("#")]
+    return load_edge_list("".join(f"{u} {v}\n" for u, v in edges))
 
 
 @lru_cache(maxsize=4096)

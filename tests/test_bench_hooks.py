@@ -34,7 +34,7 @@ CASES = {
     # 5-point grid, and the probe detects over the block scored last, which
     # must hold 2 points or more.
     "threshold-cycle": (
-        ["threshold", "--grid", "6:10:1", "--jobs", "2", "--input", "{cycle}"],
+        ["threshold", "--grid", "6:10:1", "--input", "{cycle}"],
         {
             "graph.load", "ranking.sweep", "entropy.score", "ranking.rank",
             "ranking.detect_exact", "ranking.detect_relaxed", "ranking.refine",

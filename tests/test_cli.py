@@ -168,6 +168,20 @@ def test_sweep_writes_minus_zero_as_zero(capsys, triangle_path, spec):
     assert _rows(out)[1][0] == "0.0"
 
 
+@pytest.mark.parametrize("command", ["sweep", "threshold", "states"])
+def test_grid_spec_starting_with_minus_is_written_with_equals(capsys, triangle_path, command):
+    """argparse reads a separate ``-0:1:0.5`` as an option, so README and
+    the --grid help say to write such a spec as --grid=SPEC."""
+    argv = (command, "--input", triangle_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--grid", "-0:1:0.5"])
+    assert excinfo.value.code == 2
+    assert "--grid: expected one argument" in capsys.readouterr().err
+    _, plain, _ = _run(capsys, *argv, "--grid", "0:1:0.5")
+    code, out, err = _run(capsys, *argv, "--grid=-0:1:0.5")
+    assert code == 0 and err == "" and out == plain
+
+
 def test_sweep_rejects_bad_grid(capsys, triangle_path):
     code, out, err = _run(
         capsys, "sweep", "--input", triangle_path, "--grid", "2,1"
@@ -297,23 +311,24 @@ def cycle_path(tmp_path):
 _SHORT_GRIDS = {2: "8,10", **{k: f"{11 - k}:10:1" for k in range(3, 10)}}
 
 
-@pytest.mark.parametrize("jobs", ["1", "2", "3"])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize(
     "graph, grid",
     [("karate", None), ("cycle", None), *(("karate", g) for g in _SHORT_GRIDS.values())],
     ids=["karate-default-grid", "cycle", *(f"{k}-point-grid" for k in _SHORT_GRIDS)],
 )
 def test_threshold_bytes_match_detection_over_a_full_sweep(
-    capsys, monkeypatch, jobs_as_requested, karate_path, cycle_path, graph, grid, jobs
+    capsys, monkeypatch, forkless_on, karate_path, cycle_path, graph, grid, cpus
 ):
     """threshold scores the grid from its top down in blocks, as detection
     reads it; its bytes must be the reference model's, which detects over
-    one sweep of the whole grid. The short grids leave every remainder for
-    the top block, and on the cycle every block is read. The last block
-    scored holds at least 2 points, so that detection could run over it
-    alone."""
+    one sweep of the whole grid, on any CPU count and without a fork. The
+    short grids leave every remainder for the top block, and on the cycle
+    every block is read. The last block scored holds at least 2 points, so
+    that detection could run over it alone."""
+    forkless_on(cpus)
     path = karate_path if graph == "karate" else cycle_path
-    base = ["threshold", "--input", path, "--jobs", jobs]
+    base = ["threshold", "--input", path]
     base += ["--grid", grid] if grid else []
     options = itertools.product(("csv", "json"), (None, 0.05), (False, True))
     for fmt, tau, refine in options:
@@ -321,9 +336,9 @@ def test_threshold_bytes_match_detection_over_a_full_sweep(
         argv = [*base, "--format", fmt, *relaxed, *["--refine"] * refine]
         sizes = []
 
-        def recording_sweep(g, grid, jobs=1):
+        def recording_sweep(g, grid):
             sizes.append(len(grid))
-            return sweep(g, grid, jobs=jobs)
+            return sweep(g, grid)
 
         monkeypatch.setattr(cli, "sweep", recording_sweep)
         code, out, err = _run(capsys, *argv)
@@ -332,68 +347,65 @@ def test_threshold_bytes_match_detection_over_a_full_sweep(
         assert sizes[-1] >= 2, (argv, sizes)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("relaxed", [[], ["--relaxed-tau", "0.05"]], ids=["exact", "relaxed"])
 @pytest.mark.parametrize("graph", ["karate", "cycle"])
 def test_threshold_scores_only_the_blocks_detection_reads(
-    capsys, monkeypatch, jobs_as_requested, karate_path, cycle_path, graph, relaxed, jobs
+    capsys, monkeypatch, forkless_on, karate_path, cycle_path, graph, relaxed, cpus
 ):
     """Detection reads the stable suffix and the point below it, so the
-    blocks of 2 * jobs points that hold them are all that is scored; each
-    block's workers are reaped before the next block starts."""
+    blocks of 2 points that hold them are all that is scored, on any CPU
+    count and without a fork."""
+    forkless_on(cpus)
     real_sweep = cli.sweep
     scored = []
 
-    def counting_sweep(graph, grid, jobs=1):
-        result = real_sweep(graph, grid, jobs=jobs)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)  # no child left running or unreaped
+    def counting_sweep(graph, grid):
         scored.append(len(grid))
-        return result
+        return real_sweep(graph, grid)
 
     monkeypatch.setattr(cli, "sweep", counting_sweep)
     path = karate_path if graph == "karate" else cycle_path
-    code, out, err = _run(capsys, "threshold", "--input", path, "--jobs", str(jobs), *relaxed)
+    code, out, err = _run(capsys, "threshold", "--input", path, *relaxed)
     assert code == 0, err
     suffix_length = int(dict(_rows(out)[1:])["suffix_length"])
     points = len(default_grid())
-    assert sum(scored) <= min(points, suffix_length + 1) + 2 * jobs - 1, scored
+    assert sum(scored) <= min(points, suffix_length + 1) + 1, scored
 
 
 # (lo, hi) of each default-grid slice that threshold scores, in order:
-# blocks of 2 * jobs points counted from the grid's bottom, read from its top.
+# blocks of 2 points counted from the grid's bottom, read from its top.
 _THRESHOLD_SLICES = {
-    ("karate", 1): [(42, 43), (40, 42), (38, 40)],
-    ("karate", 2): [(40, 43), (36, 40)],
-    ("karate", 3): [(42, 43), (36, 42)],
-    ("cycle", 1): [(42, 43), *((lo, lo + 2) for lo in range(40, -1, -2))],
-    ("cycle", 2): [(40, 43), *((lo, lo + 4) for lo in range(36, -1, -4))],
-    ("cycle", 3): [(42, 43), *((lo, lo + 6) for lo in range(36, -1, -6))],
+    "karate": [(42, 43), (40, 42), (38, 40)],
+    "cycle": [(42, 43), *((lo, lo + 2) for lo in range(40, -1, -2))],
 }
 
 
-@pytest.mark.parametrize("graph, jobs", sorted(_THRESHOLD_SLICES))
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("graph", sorted(_THRESHOLD_SLICES))
 def test_threshold_scores_the_same_grid_slices_in_the_same_order(
-    capsys, monkeypatch, jobs_as_requested, karate_path, cycle_path, graph, jobs
+    capsys, monkeypatch, forkless_on, karate_path, cycle_path, graph, cpus
 ):
-    """The blocks threshold scores, top block first: detection stops early
-    on karate and reads every point of the cycle."""
+    """The blocks threshold scores, top block first, are the same on any
+    CPU count: detection stops early on karate and reads every point of
+    the cycle."""
+    forkless_on(cpus)
     real_sweep = cli.sweep
     scored = []
 
-    def recording_sweep(graph, grid, jobs=1):
+    def recording_sweep(graph, grid):
         scored.append(tuple(grid))
-        return real_sweep(graph, grid, jobs=jobs)
+        return real_sweep(graph, grid)
 
     monkeypatch.setattr(cli, "sweep", recording_sweep)
     path = karate_path if graph == "karate" else cycle_path
-    code, _, err = _run(capsys, "threshold", "--input", path, "--jobs", str(jobs))
+    code, _, err = _run(capsys, "threshold", "--input", path)
     assert code == 0, err
     grid = default_grid()
-    assert scored == [grid[lo:hi] for lo, hi in _THRESHOLD_SLICES[graph, jobs]]
+    assert scored == [grid[lo:hi] for lo, hi in _THRESHOLD_SLICES[graph]]
 
 
-@pytest.mark.parametrize("jobs", ["1", "2", "3"])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize(
     "grid",
     [*_SHORT_GRIDS.values(), "0.5,1", "0,0.5", "0,1,2,3"],
@@ -402,15 +414,17 @@ def test_threshold_scores_the_same_grid_slices_in_the_same_order(
     ],
 )
 def test_states_rows_match_detection_over_a_full_sweep(
-    capsys, jobs_as_requested, karate_path, grid, jobs
+    capsys, forkless_on, karate_path, grid, cpus
 ):
     """states detects through threshold's top-down path; its bytes must be
     the reference model's, whose stable row is detection's over one sweep
     of the whole grid and whose q = 0 and q = 1 rows are the rankings
-    scored alone there, on the grid or off it, whatever --jobs is."""
+    scored alone there, on the grid or off it, on any CPU count and
+    without a fork."""
+    forkless_on(cpus)
     for tau, fmt in itertools.product((None, 0.05), ("csv", "json")):
         relaxed = [] if tau is None else ["--relaxed-tau", str(tau)]
-        argv = ["states", "--input", karate_path, "--grid", grid, "--jobs", jobs, *relaxed]
+        argv = ["states", "--input", karate_path, "--grid", grid, *relaxed]
         argv += ["--format", fmt]
         code, out, err = _run(capsys, *argv)
         assert code == 0 and err == ""
@@ -419,7 +433,7 @@ def test_states_rows_match_detection_over_a_full_sweep(
 
 def test_states_scores_what_threshold_scores_plus_two(capsys, monkeypatch, karate_path):
     """states detects as threshold does, then scores q = 0 and q = 1 alone:
-    on karate's default grid at --jobs 1, 7 points exact and 15 relaxed."""
+    on karate's default grid, 7 points exact and 15 relaxed."""
     real = ranking.score_all
     for relaxed, points in (([], 7), (["--relaxed-tau", "0.05"], 15)):
         scored = {}
@@ -433,11 +447,32 @@ def test_states_scores_what_threshold_scores_plus_two(capsys, monkeypatch, karat
             with monkeypatch.context() as counted:
                 counted.setattr(ranking, "score_all", counting)
                 counted.setattr(cli, "score_all", counting)
-                argv = (command, "--input", karate_path, "--jobs", "1", *relaxed)
+                argv = (command, "--input", karate_path, *relaxed)
                 code, _, err = _run(capsys, *argv)
             assert code == 0 and err == "", err
         assert scored["states"] == [*scored["threshold"], 0.0, 1.0], relaxed
         assert len(scored["states"]) == points, relaxed
+
+
+def test_threshold_and_states_run_in_one_process(capsys, forkless_on, karate_path):
+    """Detection scores its blocks in this process, whatever the CPU
+    count: with ``os.fork`` raising, every detection path succeeds, and
+    neither command takes --jobs."""
+    forkless_on(4)
+    for argv in (
+        ["threshold"],
+        ["threshold", "--relaxed-tau", "0.05"],
+        ["threshold", "--refine", "--relaxed-tau", "0.05"],
+        ["states"],
+        ["states", "--relaxed-tau", "0.05"],
+    ):
+        code, out, err = _run(capsys, *argv, "--input", karate_path)
+        assert code == 0 and err == "" and out, argv
+    for command in ("threshold", "states"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--input", karate_path, "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_states_karate_rows(capsys, karate_path):
@@ -1124,11 +1159,7 @@ def test_json_echoes_an_input_path_that_is_not_utf8(tmp_path, karate_path):
             assert config[name] == os.fsdecode(path)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["sweep"], ["threshold", "--refine"], ["states"]],
-    ids=["sweep", "threshold", "states"],
-)
+@pytest.mark.parametrize("argv", [["sweep"]], ids=["sweep"])
 def test_stdout_bytes_same_for_any_jobs(argv, karate_path):
     """A forked worker inherits this process's buffered stdout; it must
     never flush it, or the header would be written twice."""

@@ -39,7 +39,10 @@ def draw_labels(rng, n):
 
 def draw_edge_list(rng, n, ring):
     """``n`` nodes, each on an edge, with some edges repeated either way and
-    some self-loops. In a ring every ego is alike, so labels break every tie."""
+    some self-loops. In a ring every ego is alike, so labels break every tie.
+    The file may start with a byte-order mark; its lines end in LF, CRLF or
+    a lone CR, separate labels by spaces or tabs, and have blank and ``#``
+    lines between them, a ``#`` line holding two labels among them."""
     labels = draw_labels(rng, n)
     if ring:
         pairs = [(i, (i + 1) % n) for i in range(n)]
@@ -49,7 +52,15 @@ def draw_edge_list(rng, n, ring):
     pairs += [(j, i) for i, j in rng.sample(pairs, min(3, len(pairs)))]
     pairs += [(i, i) for i in rng.sample(range(n), rng.randint(0, 2))]
     rng.shuffle(pairs)
-    return "".join(f"{labels[i]} {labels[j]}\n" for i, j in pairs)
+    ends = rng.choice([["\n"], ["\r\n"], ["\r"], ["\n", "\r\n", "\r"]])
+    lines = []
+    for i, j in pairs:
+        if rng.random() < 0.1:
+            skipped = ["", " \t", "#", f"# {labels[j]}", f"#{labels[i]} {labels[j]}"]
+            lines.append(rng.choice(skipped))
+        lines.append(labels[i] + rng.choice([" ", "\t", " \t ", "  "]) + labels[j])
+    bom = "\ufeff" if rng.random() < 0.3 else ""
+    return bom + "".join(line + rng.choice(ends) for line in lines)
 
 
 def draw_grid(rng, kind):
@@ -78,7 +89,7 @@ def test_cli_writes_the_reference_bytes(seed, tmp_path, capsys, jobs_as_requeste
     # seed in five draws a small graph.
     n = rng.randint(2, 9) if seed % 5 == 2 else rng.randint(10, 40)
     path = str(tmp_path / "graph.edges")
-    Path(path).write_text(draw_edge_list(rng, n, ring=seed % 5 == 4), encoding="utf-8")
+    Path(path).write_bytes(draw_edge_list(rng, n, ring=seed % 5 == 4).encode())
     spec = draw_grid(rng, kind=seed % 4)
     grid_args = [f"--grid={spec}"] if spec else []  # "=" lets a spec start with "-"
     spec = spec or reference.DEFAULT_GRID
@@ -86,17 +97,17 @@ def test_cli_writes_the_reference_bytes(seed, tmp_path, capsys, jobs_as_requeste
     relaxed_args = ["--relaxed-tau", tau] if tau else []
     tau = tau and float(tau)
     refine = rng.random() < 0.5
-    jobs = ["--jobs", str(rng.randint(1, 3))]
+    jobs = ["--jobs", str(rng.randint(1, 3))]  # only sweep takes --jobs
     q = rng.choice(["-0", "0", "1", "1.5", "3", str(rng.choice(reference.grid_points(spec)))])
     commands = {
         "rank": (["rank", "--q", q], lambda fmt: reference.rank(path, q, fmt)),
         "sweep": (["sweep", *grid_args, *jobs], lambda fmt: reference.sweep(path, spec, fmt)),
         "threshold": (
-            ["threshold", *grid_args, *jobs, *relaxed_args, *["--refine"] * refine],
+            ["threshold", *grid_args, *relaxed_args, *["--refine"] * refine],
             lambda fmt: reference.threshold(path, spec, tau, refine, fmt),
         ),
         "states": (
-            ["states", *grid_args, *jobs, *relaxed_args],
+            ["states", *grid_args, *relaxed_args],
             lambda fmt: reference.states(path, spec, tau, fmt),
         ),
     }

@@ -565,7 +565,7 @@ def test_relaxed_detection_agrees_identical_rankings_below_any_count(tmp_path, c
     path.write_text("".join(f"{i} {(i + 1) % 8}\n" for i in range(8)))
     printed = []
     for extra in ([], ["--relaxed-tau", "1e-17"]):
-        assert main(["threshold", "--input", str(path), "--jobs", "1", *extra]) == 0
+        assert main(["threshold", "--input", str(path), *extra]) == 0
         printed.append(capsys.readouterr().out)
     assert printed[0] == printed[1]
     assert printed[1].splitlines()[1] == "p_value,0.0"
