@@ -3,7 +3,6 @@ import csv
 import io
 import itertools
 import json
-import math
 import os
 import random
 import shutil
@@ -18,13 +17,9 @@ import reference
 from lsentropy import (
     DEFAULT_GRID_SPEC,
     default_grid,
-    detect_threshold,
     karate_edges_path,
     load_edge_list,
-    local_structure_entropy,
     parse_grid,
-    rank,
-    score_all,
     sweep,
 )
 from lsentropy import cli, ranking
@@ -54,6 +49,40 @@ def _reference(argv):
     }[args.command]()
 
 
+def _writes_the_model_bytes(capsys, *argv):
+    """``lse argv`` succeeds, with nothing on stderr, and writes the
+    reference model's bytes."""
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, ""), argv
+    assert out.encode() == _reference(list(argv)), argv
+
+
+def _refused(row, tmp_path, capsys):
+    """``lse`` refuses row ``row`` of ``reference.REFUSALS`` as the row says,
+    writing nothing but its one error line."""
+    refusal = reference.REFUSALS[row]
+    for name, data in refusal.files.items():
+        (tmp_path / name).write_bytes(data)
+    try:
+        code = main([arg.replace("{dir}", str(tmp_path)) for arg in refusal.argv])
+    except SystemExit as exc:  # argparse's refusals
+        code = exc.code
+    out, err = capsys.readouterr()
+    line = refusal.line.replace("{dir}", str(tmp_path))
+    assert (code, out) == (refusal.status, ""), err
+    if refusal.status == 2:
+        assert err.startswith("usage: lse") and err.endswith(f"\n{line}\n"), err
+    else:
+        assert err == f"{line}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(refusal.files)
+
+
+def _refusals(group):
+    """Parametrize a test over the refusal table's rows ``group/case``."""
+    rows = [row for row in reference.REFUSALS if row.startswith(f"{group}/")]
+    return pytest.mark.parametrize("row", rows, ids=[row.split("/", 1)[1] for row in rows])
+
+
 @pytest.fixture(scope="session")
 def karate_path():
     return str(karate_edges_path())
@@ -75,13 +104,7 @@ def k5_path(tmp_path):
 
 
 def test_rank_triangle_symmetry(capsys, triangle_path):
-    code, out, err = _run(capsys, "rank", "--input", triangle_path, "--q", "1")
-    assert code == 0 and err == ""
-    rows = _rows(out)
-    assert rows[0] == ["label", "degree", "entropy", "rank"]
-    assert [row[0] for row in rows[1:]] == ["1", "2", "3"]
-    assert [row[3] for row in rows[1:]] == ["1", "2", "3"]
-    assert len({row[2] for row in rows[1:]}) == 1
+    _writes_the_model_bytes(capsys, "rank", "--input", triangle_path, "--q", "1")
 
 
 def test_rank_karate_q0_top_row(capsys, karate_path):
@@ -97,32 +120,8 @@ def test_rank_entropy_has_six_decimals(capsys, karate_path):
         assert whole.isdigit() and len(frac) == 6
 
 
-def test_rank_json_full_precision(capsys, karate_path, karate):
-    code, out, _ = _run(
-        capsys, "rank", "--input", karate_path, "--q", "1", "--format", "json"
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["command"] == "rank"
-    assert payload["config"] == {
-        "command": "rank",
-        "input": karate_path,
-        "format": "json",
-        "q": 1.0,
-    }
-    by_label = {row["label"]: row for row in payload["rows"]}
-    for i, label in enumerate(karate.labels):
-        assert by_label[label]["entropy"] == local_structure_entropy(karate, i, 1.0)
-        assert by_label[label]["degree"] == karate.degrees[i]
-    assert [row["rank"] for row in payload["rows"]] == list(
-        range(1, karate.node_count + 1)
-    )
-
-
-def test_rank_rejects_negative_q(capsys, triangle_path):
-    code, out, err = _run(capsys, "rank", "--input", triangle_path, "--q", "-1")
-    assert code == 1 and out == ""
-    assert err.startswith("error:")
+def test_rank_rejects_negative_q(capsys, tmp_path):
+    _refused("negative-q", tmp_path, capsys)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -133,30 +132,18 @@ def test_rank_writes_minus_zero_q_as_zero(capsys, triangle_path, fmt):
     assert _run(capsys, *argv, "-0") == plain
 
 
-def test_sweep_default_grid_row_count(capsys, karate_path, karate):
-    code, out, _ = _run(capsys, "sweep", "--input", karate_path)
-    assert code == 0
-    rows = _rows(out)
-    assert rows[0] == ["q", "label", "entropy", "rank"]
-    assert len(rows) - 1 == len(default_grid()) * karate.node_count
+def test_sweep_default_grid_row_count(capsys, karate_path):
+    _writes_the_model_bytes(capsys, "sweep", "--input", karate_path)
 
 
-def test_sweep_q0_block_reproduces_degree_order(capsys, karate_path, karate):
-    _, out, _ = _run(capsys, "sweep", "--input", karate_path, "--grid", "0,1")
-    rows = _rows(out)[1:]
-    q0_labels = [row[1] for row in rows if row[0] == "0.0"]
-    assert tuple(q0_labels) == rank(score_all(karate, 0.0)).ordered_labels
+def test_sweep_q0_block_reproduces_degree_order(capsys, karate_path):
+    _writes_the_model_bytes(capsys, "sweep", "--input", karate_path, "--grid", "0,1")
 
 
 def test_sweep_single_edge_symmetry(capsys, tmp_path):
     path = tmp_path / "edge.edges"
     path.write_text("a b\n")
-    _, out, _ = _run(capsys, "sweep", "--input", str(path), "--grid", "0,1,2")
-    rows = _rows(out)[1:]
-    assert len(rows) == 6
-    for q in ("0.0", "1.0", "2.0"):
-        entropies = {row[2] for row in rows if row[0] == q}
-        assert len(entropies) == 1
+    _writes_the_model_bytes(capsys, "sweep", "--input", str(path), "--grid", "0,1,2")
 
 
 @pytest.mark.parametrize("spec", ["-0,1", "-0:1:0.5"])
@@ -168,135 +155,58 @@ def test_sweep_writes_minus_zero_as_zero(capsys, triangle_path, spec):
     assert _rows(out)[1][0] == "0.0"
 
 
-@pytest.mark.parametrize("command", ["sweep", "threshold", "states"])
-def test_grid_spec_starting_with_minus_is_written_with_equals(capsys, triangle_path, command):
-    """argparse reads a separate ``-0:1:0.5`` as an option, so README and
-    the --grid help say to write such a spec as --grid=SPEC."""
-    argv = (command, "--input", triangle_path)
-    with pytest.raises(SystemExit) as excinfo:
-        main([*argv, "--grid", "-0:1:0.5"])
-    assert excinfo.value.code == 2
-    assert "--grid: expected one argument" in capsys.readouterr().err
-    _, plain, _ = _run(capsys, *argv, "--grid", "0:1:0.5")
-    code, out, err = _run(capsys, *argv, "--grid=-0:1:0.5")
-    assert code == 0 and err == "" and out == plain
+@_refusals("grid-with-minus")
+def test_grid_spec_starting_with_minus_is_written_with_equals(capsys, tmp_path, row):
+    _refused(row, tmp_path, capsys)
 
 
-def test_sweep_rejects_bad_grid(capsys, triangle_path):
-    code, out, err = _run(
-        capsys, "sweep", "--input", triangle_path, "--grid", "2,1"
-    )
-    assert code == 1 and out == "" and "error:" in err
+def test_sweep_rejects_bad_grid(capsys, tmp_path):
+    _refused("bad-grid", tmp_path, capsys)
 
 
-def test_sweep_rejects_non_finite_grid_bound(capsys, triangle_path):
-    code, out, err = _run(
-        capsys, "sweep", "--input", triangle_path, "--grid", "0:nan:1"
-    )
-    assert code == 1 and out == ""
-    assert err.startswith("error: bad grid segment '0:nan:1'")
+def test_sweep_rejects_non_finite_grid_bound(capsys, tmp_path):
+    _refused("non-finite-grid", tmp_path, capsys)
 
 
-@pytest.mark.parametrize("command", ["sweep", "threshold", "states"])
-def test_bad_grid_reported_before_input_is_read(capsys, tmp_path, command):
-    missing = str(tmp_path / "absent.edges")
-    code, out, err = _run(capsys, command, "--input", missing, "--grid", "0:1:-1")
-    assert code == 1 and out == ""
-    assert err == "error: grid step must be positive in '0:1:-1'\n"
+@_refusals("grid-step")
+def test_bad_grid_reported_before_input_is_read(capsys, tmp_path, row):
+    _refused(row, tmp_path, capsys)
 
 
-@pytest.mark.parametrize("command", ["sweep", "threshold", "states"])
-def test_oversized_grid_reported_before_input_is_read(capsys, tmp_path, command):
-    missing = str(tmp_path / "absent.edges")
-    grid = "0:1000000:1,2000000"  # one point per segment past MAX_GRID_POINTS
-    code, out, err = _run(capsys, command, "--input", missing, "--grid", grid)
-    assert code == 1 and out == ""
-    assert err == (
-        "error: q grid would hold 1000002 points; at most 1000000 are allowed\n"
-    )
+@_refusals("oversized-grid")
+def test_oversized_grid_reported_before_input_is_read(capsys, tmp_path, row):
+    _refused(row, tmp_path, capsys)
 
 
-@pytest.mark.parametrize("command", ["states", "threshold"])
-def test_command_grid_rule_reported_before_input_is_read(capsys, tmp_path, command):
-    # The two grid commands share one rule: at least 2 points.
-    missing = str(tmp_path / "absent.edges")
-    code, out, err = _run(capsys, command, "--input", missing, "--grid", "5")
-    assert code == 1 and out == ""
-    assert err == "error: threshold detection needs a sweep of >= 2 grid points\n"
+@_refusals("short-grid")
+def test_command_grid_rule_reported_before_input_is_read(capsys, tmp_path, row):
+    _refused(row, tmp_path, capsys)
 
 
 def test_threshold_complete_graph_stable_from_zero(capsys, k5_path):
-    code, out, _ = _run(capsys, "threshold", "--input", k5_path)
-    assert code == 0
-    fields = dict(_rows(out)[1:])
-    assert fields["p_value"] == "0.0"
-    assert int(fields["suffix_length"]) == len(default_grid())
-    assert fields["stable_top10"] == "1,2,3,4,5"
+    _writes_the_model_bytes(capsys, "threshold", "--input", k5_path)
 
 
 def test_threshold_star_stable_from_zero(capsys, tmp_path):
     path = tmp_path / "star.edges"
     path.write_text("".join(f"c l{i}\n" for i in range(6)))
-    code, out, _ = _run(capsys, "threshold", "--input", str(path))
-    assert code == 0
-    fields = dict(_rows(out)[1:])
-    assert fields["p_value"] == "0.0"
-    assert fields["stable_top10"].startswith("c,")
+    _writes_the_model_bytes(capsys, "threshold", "--input", str(path))
 
 
 def test_threshold_undetected_reports_null(capsys, karate_path):
-    code, out, _ = _run(
-        capsys, "threshold", "--input", karate_path, "--grid", "0,5,10"
-    )
-    assert code == 0
-    fields = dict(_rows(out)[1:])
-    assert fields["p_value"] == "null"
-    assert fields["stable_top10"] == "null"
-    assert fields["suffix_length"] == "1"
+    _writes_the_model_bytes(capsys, "threshold", "--input", karate_path, "--grid", "0,5,10")
 
 
 def test_threshold_refine_row(capsys, karate_path):
-    code, out, _ = _run(capsys, "threshold", "--input", karate_path, "--refine")
-    assert code == 0
-    fields = dict(_rows(out)[1:])
-    assert float(fields["refined_p_value"]) <= float(fields["p_value"])
+    _writes_the_model_bytes(capsys, "threshold", "--input", karate_path, "--refine")
 
 
 def test_threshold_relaxed_mode(capsys, karate_path):
-    code, out, _ = _run(
-        capsys, "threshold", "--input", karate_path, "--relaxed-tau", "0.05"
-    )
-    assert code == 0
-    fields = dict(_rows(out)[1:])
-    assert float(fields["p_value"]) < 8.5
+    _writes_the_model_bytes(capsys, "threshold", "--input", karate_path, "--relaxed-tau", "0.05")
 
 
-def test_threshold_relaxed_tau_out_of_range(capsys, karate_path):
-    code, _, err = _run(
-        capsys, "threshold", "--input", karate_path, "--relaxed-tau", "0.2"
-    )
-    assert code == 1 and "relaxed-tau" in err
-
-
-def test_threshold_json_payload(capsys, karate_path):
-    code, out, _ = _run(
-        capsys,
-        "threshold",
-        "--input",
-        karate_path,
-        "--refine",
-        "--format",
-        "json",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["command"] == "threshold"
-    assert math.isfinite(payload["p_value"])
-    assert math.isfinite(payload["refined_p_value"])
-    assert payload["suffix_length"] >= 2
-    assert len(payload["stable_top10"]) == 10
-    assert payload["config"]["refine"] is True
-    assert "jobs" not in payload["config"]
+def test_threshold_relaxed_tau_out_of_range(capsys, tmp_path):
+    _refused("relaxed-tau-out-of-range", tmp_path, capsys)
 
 
 @pytest.fixture()
@@ -341,9 +251,7 @@ def test_threshold_bytes_match_detection_over_a_full_sweep(
             return sweep(g, grid)
 
         monkeypatch.setattr(cli, "sweep", recording_sweep)
-        code, out, err = _run(capsys, *argv)
-        assert code == 0, err
-        assert out.encode() == _reference(argv), argv
+        _writes_the_model_bytes(capsys, *argv)
         assert sizes[-1] >= 2, (argv, sizes)
 
 
@@ -424,11 +332,8 @@ def test_states_rows_match_detection_over_a_full_sweep(
     forkless_on(cpus)
     for tau, fmt in itertools.product((None, 0.05), ("csv", "json")):
         relaxed = [] if tau is None else ["--relaxed-tau", str(tau)]
-        argv = ["states", "--input", karate_path, "--grid", grid, *relaxed]
-        argv += ["--format", fmt]
-        code, out, err = _run(capsys, *argv)
-        assert code == 0 and err == ""
-        assert out.encode() == _reference(argv), argv
+        argv = ["states", "--input", karate_path, "--grid", grid, *relaxed, "--format", fmt]
+        _writes_the_model_bytes(capsys, *argv)
 
 
 def test_states_scores_what_threshold_scores_plus_two(capsys, monkeypatch, karate_path):
@@ -456,8 +361,7 @@ def test_states_scores_what_threshold_scores_plus_two(capsys, monkeypatch, karat
 
 def test_threshold_and_states_run_in_one_process(capsys, forkless_on, karate_path):
     """Detection scores its blocks in this process, whatever the CPU
-    count: with ``os.fork`` raising, every detection path succeeds, and
-    neither command takes --jobs."""
+    count: with ``os.fork`` raising, every detection path succeeds."""
     forkless_on(4)
     for argv in (
         ["threshold"],
@@ -468,25 +372,6 @@ def test_threshold_and_states_run_in_one_process(capsys, forkless_on, karate_pat
     ):
         code, out, err = _run(capsys, *argv, "--input", karate_path)
         assert code == 0 and err == "" and out, argv
-    for command in ("threshold", "states"):
-        with pytest.raises(SystemExit) as excinfo:
-            main([command, "--input", karate_path, "--jobs", "2"])
-        assert excinfo.value.code == 2
-        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
-
-
-def test_states_karate_rows(capsys, karate_path):
-    code, out, _ = _run(capsys, "states", "--input", karate_path)
-    assert code == 0
-    rows = _rows(out)
-    assert rows[0] == ["state", "order"]
-    assert [row[0] for row in rows[1:]] == [
-        "Order_q0",
-        "Order_q1",
-        "Order_stable",
-    ]
-    assert rows[1][1].startswith("34,1,33,3,2")
-    assert rows[3][1] != "none"
 
 
 def test_states_path_center_first(capsys, tmp_path):
@@ -504,84 +389,32 @@ def test_states_complete_graph_identical_rows(capsys, k5_path):
 
 
 @pytest.mark.parametrize("relaxed", [(), ("--relaxed-tau", "0.05")], ids=["exact", "relaxed"])
-def test_states_scores_zero_and_one_off_the_grid(capsys, karate_path, karate, relaxed):
-    argv = ("states", "--input", karate_path, "--grid", "2,3", *relaxed)
-    code, out, err = _run(capsys, *argv)
-    assert code == 0 and err == ""
-    cells = {name: next(csv.reader([cell])) for name, cell in _rows(out)[1:]}
-    for q in ("0", "1"):
-        _, ranked, _ = _run(capsys, "rank", "--input", karate_path, "--q", q)
-        assert cells[f"Order_q{q}"] == [row[0] for row in _rows(ranked)[1:]]
+def test_states_scores_zero_and_one_off_the_grid(capsys, karate_path, relaxed):
     # Exact detection finds 2 and 3 apart; T = 0.05 takes them as one.
-    tau = float(relaxed[1]) if relaxed else None
-    stable = detect_threshold(sweep(karate, (2.0, 3.0)), relaxed_tau=tau).stable_ranking
-    assert (stable is None) == (not relaxed)
-    assert cells["Order_stable"] == (list(stable.ordered_labels) if stable else ["none"])
+    _writes_the_model_bytes(capsys, "states", "--input", karate_path, "--grid", "2,3", *relaxed)
 
 
-def test_states_json_payload(capsys, karate_path, karate):
-    code, out, _ = _run(
-        capsys, "states", "--input", karate_path, "--format", "json"
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["order_q0"][:5] == ["34", "1", "33", "3", "2"]
-    assert sorted(payload["order_q1"]) == sorted(karate.labels)
-    assert isinstance(payload["order_stable"], list)
-
-
-def test_states_relaxed_tau_finds_stable_row(capsys, karate_path, karate):
+def test_states_relaxed_tau_finds_stable_row(capsys, karate_path):
     # On this grid exact detection finds no stable suffix; T = 0.05 does.
-    grid = "0:8:0.5"
-    argv = ("states", "--input", karate_path, "--grid", grid)
-    _, exact, _ = _run(capsys, *argv)
-    assert _rows(exact)[3] == ["Order_stable", "none"]
-    code, out, err = _run(capsys, *argv, "--relaxed-tau", "0.05")
-    assert code == 0 and err == ""
-    name, cell = _rows(out)[3]
-    stable = next(csv.reader([cell]))
-    assert name == "Order_stable"
-    assert stable == list(sweep(karate, parse_grid(grid)).rankings[-1].ordered_labels)
-    report = detect_threshold(sweep(karate, parse_grid(grid)), relaxed_tau=0.05)
-    assert list(report.stable_ranking.ordered_labels) == stable
-    _, out, _ = _run(capsys, *argv, "--relaxed-tau", "0.05", "--format", "json")
-    payload = json.loads(out)
-    assert payload["config"]["relaxed_tau"] == 0.05
-    assert payload["order_stable"] == stable
+    argv = ("states", "--input", karate_path, "--grid", "0:8:0.5")
+    for options in ([], ["--relaxed-tau", "0.05"], ["--relaxed-tau", "0.05", "--format", "json"]):
+        _writes_the_model_bytes(capsys, *argv, *options)
 
 
 def test_compare_rank_file_with_itself(capsys, karate_path, tmp_path):
-    out_path = tmp_path / "rank.csv"
-    assert main(
-        ["rank", "--input", karate_path, "--q", "0", "--output", str(out_path)]
-    ) == 0
-    capsys.readouterr()
-    code, out, _ = _run(capsys, "compare", str(out_path), str(out_path))
-    assert code == 0
-    rows = _rows(out)
-    assert rows[0] == ["kendall_tau", "top5_overlap", "top10_overlap"]
-    assert rows[1] == ["1.0", "1.0", "1.0"]
+    out_path = str(tmp_path / "rank.csv")
+    assert main(["rank", "--input", karate_path, "--q", "0", "--output", out_path]) == 0
+    expected = "kendall_tau,top5_overlap,top10_overlap\n1.0,1.0,1.0\n"
+    assert _run(capsys, "compare", out_path, out_path) == (0, expected, "")
 
 
 def test_compare_reversed_rank_files(capsys, tmp_path):
-    labels = [str(i) for i in range(1, 8)]
-    forward = tmp_path / "forward.csv"
-    backward = tmp_path / "backward.csv"
-    header = "label,degree,entropy,rank\n"
-    forward.write_text(
-        header
-        + "".join(f"{lab},1,0.500000,{i}\n" for i, lab in enumerate(labels, 1))
-    )
-    backward.write_text(
-        header
-        + "".join(
-            f"{lab},1,0.500000,{i}\n"
-            for i, lab in enumerate(reversed(labels), 1)
-        )
-    )
-    code, out, _ = _run(capsys, "compare", str(forward), str(backward))
-    assert code == 0
-    assert float(_rows(out)[1][0]) == pytest.approx(-1.0)
+    paths = [str(tmp_path / "forward.csv"), str(tmp_path / "backward.csv")]
+    for path, labels in zip(paths, (range(1, 8), range(7, 0, -1))):
+        rows = "".join(f"{label},1,0.500000,{r}\n" for r, label in enumerate(labels, 1))
+        Path(path).write_text("label,degree,entropy,rank\n" + rows)
+    code, out, _ = _run(capsys, "compare", *paths)
+    assert (code, _rows(out)[1]) == (0, ["-1.0", "0.6", "1.0"])
 
 
 def test_compare_reads_a_rank_csv_with_a_byte_order_mark(capsys, karate_path, tmp_path):
@@ -637,26 +470,9 @@ def test_compare_reads_a_states_file_of_any_size(capsys, tmp_path):
     assert len(rows) == 2
 
 
-@pytest.mark.parametrize(
-    "name, text, bad_first",
-    [
-        ("dup.csv", "label,degree,entropy,rank\nx,1,0,1\ndupe,1,0,2\ndupe,1,0,3\n", False),
-        ("dup-states.csv", 'state,order\nOrder_q0,"x,dupe,dupe"\n', True),
-    ],
-    ids=["rank-second", "states-first"],
-)
-def test_compare_duplicate_label_is_one_error_line_naming_file_and_label(
-    capsys, tmp_path, name, text, bad_first
-):
-    good = tmp_path / "ok.csv"
-    good.write_text("label,degree,entropy,rank\nx,1,0.5,1\ndupe,1,0.5,2\n")
-    bad = tmp_path / name
-    bad.write_text(text)
-    pair = (bad, good) if bad_first else (good, bad)
-    code, out, err = _run(capsys, "compare", *map(str, pair))
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error: "), err
-    assert str(bad) in err and "dupe" in err
+@_refusals("duplicate-label")
+def test_compare_duplicate_label_is_one_error_line_naming_file_and_label(capsys, tmp_path, row):
+    _refused(row, tmp_path, capsys)
 
 
 def test_compare_label_holding_a_nul_byte_is_read_or_refused_naming_the_file(
@@ -676,83 +492,33 @@ def test_compare_label_holding_a_nul_byte_is_read_or_refused_naming_the_file(
 
 
 def test_compare_label_mismatch_lists_difference(capsys, tmp_path):
-    header = "label,degree,entropy,rank\n"
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    a.write_text(header + "x,1,0.500000,1\ny,1,0.400000,2\n")
-    b.write_text(header + "x,1,0.500000,1\nz,1,0.400000,2\n")
-    code, out, err = _run(capsys, "compare", str(a), str(b))
-    assert code == 1 and out == ""
-    assert "y" in err and "z" in err
+    _refused("label-mismatch", tmp_path, capsys)
 
 
 def test_compare_missing_stable_row_fails(capsys, tmp_path):
-    path = tmp_path / "states.csv"
-    path.write_text('state,order\nOrder_q0,"b,a"\nOrder_q1,"b,a"\nOrder_stable,none\n')
-    code, _, err = _run(
-        capsys, "compare", str(path), str(path), "--state-a", "stable"
-    )
-    assert code == 1 and "no stable ordering" in err
+    _refused("no-stable-state", tmp_path, capsys)
 
 
-def _compare_refuses(capsys, path, *options):
-    """``lse compare path path`` exits 1 with one error line naming
-    ``path``; returns that line."""
-    code, out, err = _run(capsys, "compare", str(path), str(path), *options)
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1 and err.startswith(f"error: {path}: "), err
-    return err
+@_refusals("lse")
+def test_lse_refuses(capsys, tmp_path, row):
+    """The table's rows in group ``lse``: refusals that no test of their own
+    names."""
+    _refused(row, tmp_path, capsys)
 
 
-@pytest.mark.parametrize(
-    "ranks",
-    [
-        (7, 7, -3), (1, 1, 2), (1, 2, 4), (0, 1, 2), (2, 3, 4),
-        # lse rank writes no leading zero; int() of the long one depends
-        # on the int-string limit.
-        (1, "02", 3), ("0" * 700 + "1", 2, 3),
-    ],
-    ids=[
-        "repeated-and-negative", "repeated", "past-n", "zero", "shifted",
-        "leading-zero", "700-zeros",
-    ],
-)
-def test_compare_refuses_a_rank_column_other_than_1_to_n(capsys, tmp_path, ranks):
-    path = tmp_path / "ranks.csv"
-    rows = "".join(f"{label},1,0.5,{r}\n" for label, r in zip("abc", ranks))
-    path.write_text("label,degree,entropy,rank\n" + rows)
-    assert "1..3" in _compare_refuses(capsys, path)
+@_refusals("rank-column")
+def test_compare_refuses_a_rank_column_other_than_1_to_n(capsys, tmp_path, row):
+    _refused(row, tmp_path, capsys)
 
 
-@pytest.mark.parametrize(
-    "row",
-    [
-        "b,1,0.5", "b,1,1.0,2,extra", "b,1,0.5,two",
-        # Spellings of 2 that int() reads and lse rank never writes.
-        "b,1,0.5,+2", "b,1,0.5, 2", "b,1,0.5,0_2", "b,1,0.5,\u0662",
-    ],
-    ids=[
-        "three-cells", "five-cells", "non-integer-rank",
-        "plus-sign", "leading-space", "underscore", "arabic-indic-digit",
-    ],
-)
+@_refusals("rank-row")
 def test_compare_refuses_a_malformed_ranking_row(capsys, tmp_path, row):
-    path = tmp_path / "ranks.csv"
-    path.write_text(f"label,degree,entropy,rank\na,1,0.5,1\n{row}\n")
-    assert _compare_refuses(capsys, path) == f"error: {path}: malformed ranking row\n"
+    _refused(row, tmp_path, capsys)
 
 
-@pytest.mark.parametrize(
-    "text",
-    ['state,order\nOrder_q0,"a,b"\nOrder_q0\n', 'state,order\nOrder_q0,"a,b",c\n'],
-    ids=["one-cell", "three-cells"],
-)
-def test_compare_refuses_a_malformed_states_row(capsys, tmp_path, text):
-    """A states row holds its header's 2 fields; the second Order_q0 above
-    would otherwise hide a repeated state."""
-    path = tmp_path / "states.csv"
-    path.write_text(text)
-    assert _compare_refuses(capsys, path) == f"error: {path}: malformed states row\n"
+@_refusals("states-row")
+def test_compare_refuses_a_malformed_states_row(capsys, tmp_path, row):
+    _refused(row, tmp_path, capsys)
 
 
 def test_compare_reads_rank_rows_in_any_order(capsys, tmp_path):
@@ -764,51 +530,22 @@ def test_compare_reads_rank_rows_in_any_order(capsys, tmp_path):
     assert code == 0 and _rows(out)[1] == ["1.0", "1.0", "1.0"]
 
 
-@pytest.mark.parametrize("state", ["q0", "q1"])
-def test_compare_refuses_a_state_named_twice(capsys, tmp_path, state):
-    path = tmp_path / "states.csv"
-    path.write_text('state,order\nOrder_q0,"a,b,c"\nOrder_q1,"a,b,c"\nOrder_q0,"c,b,a"\n')
-    err = _compare_refuses(capsys, path, "--state-a", state, "--state-b", state)
-    assert "'Order_q0'" in err
+@_refusals("state-twice")
+def test_compare_refuses_a_state_named_twice(capsys, tmp_path, row):
+    _refused(row, tmp_path, capsys)
 
 
 def test_compare_refuses_a_states_file_without_the_requested_row(capsys, tmp_path):
-    path = tmp_path / "states.csv"
-    path.write_text('state,order\nOrder_q1,"a,b"\n')
-    assert "'Order_q0'" in _compare_refuses(capsys, path)
+    _refused("missing-state", tmp_path, capsys)
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["", "label,degree,entropy,rank\n", 'state,order\nOrder_q0,""\nOrder_q1,a\n'],
-    ids=["empty-file", "header-only-rank", "empty-states-cell"],
-)
-def test_compare_rejects_empty_rankings(capsys, tmp_path, text):
-    path = tmp_path / "empty.csv"
-    path.write_text(text)
-    assert "empty" in _compare_refuses(capsys, path).removeprefix(f"error: {path}")
+@_refusals("empty-ranking")
+def test_compare_rejects_empty_rankings(capsys, tmp_path, row):
+    _refused(row, tmp_path, capsys)
 
 
 def test_compare_rejects_unknown_header(capsys, tmp_path):
-    path = tmp_path / "other.csv"
-    path.write_text("foo,bar\n1,2\n")
-    code, _, err = _run(capsys, "compare", str(path), str(path))
-    assert code == 1 and "unrecognized header" in err
-
-
-def test_compare_json_payload(capsys, karate_path, tmp_path):
-    out_path = tmp_path / "rank.csv"
-    main(["rank", "--input", karate_path, "--q", "2", "--output", str(out_path)])
-    capsys.readouterr()
-    code, out, _ = _run(
-        capsys, "compare", str(out_path), str(out_path), "--format", "json"
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["kendall_tau"] == 1.0
-    assert payload["top5_overlap"] == 1.0
-    assert payload["top10_overlap"] == 1.0
-    assert payload["config"]["state_a"] == "q0"
+    _refused("unknown-header", tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
@@ -818,6 +555,8 @@ def test_compare_json_payload(capsys, karate_path, tmp_path):
         ["sweep", "--grid", "0,0.5,1,2.2"],
         ["threshold", "--refine", "--relaxed-tau", "0.05"],
         ["threshold", "--refine", "--grid", "0,5,10"],
+        # 0.2 - 0.1 is exactly REFINE_RESOLUTION, so refine does not bisect.
+        ["threshold", "--refine", "--grid", "0.1,0.2,0.3"],
         ["states"],
         ["states", "--grid", "0,1,10"],
         ["compare"],
@@ -848,39 +587,18 @@ def test_csv_and_json_carry_the_same_content(capsys, karate_path, tmp_path, argv
 
 
 def test_output_file_matches_stdout(capsys, triangle_path, tmp_path):
-    out_path = tmp_path / "rank.csv"
-    code = main(
-        ["rank", "--input", triangle_path, "--q", "1", "--output", str(out_path)]
-    )
-    captured = capsys.readouterr()
-    assert code == 0 and captured.out == ""
-    code, stdout_text, _ = _run(
-        capsys, "rank", "--input", triangle_path, "--q", "1"
-    )
-    assert out_path.read_text(encoding="utf-8") == stdout_text
-
     # sweep streams its CSV rows; labels that need quoting go through it.
     quoted = tmp_path / "quoted.edges"
     quoted.write_text('a,b say"hi"\nsay"hi" c\nc a,b\nc d\n', encoding="utf-8")
-    sweep_args = ["sweep", "--input", str(quoted), "--grid", "0,1,2.5"]
-    sweep_path = tmp_path / "sweep.csv"
-    assert main([*sweep_args, "--output", str(sweep_path)]) == 0
-    assert capsys.readouterr().out == ""
-    code, stdout_text, _ = _run(capsys, *sweep_args)
-    assert code == 0
-    assert sweep_path.read_text(encoding="utf-8") == stdout_text
-    assert '"a,b"' in stdout_text and '"say""hi"""' in stdout_text
-    rows = _rows(stdout_text)
-    assert {row[1] for row in rows[1:]} == {"a,b", 'say"hi"', "c", "d"}
-    assert len(rows) == 1 + 3 * 4
-
-    bad_path = tmp_path / "bad.csv"
-    code, _, err = _run(
-        capsys, "sweep", "--input", str(quoted), "--grid", "2,1",
-        "--output", str(bad_path),
-    )
-    assert code == 1 and "grid" in err
-    assert not bad_path.exists()
+    out_path = tmp_path / "out.csv"
+    for argv in (
+        ["rank", "--input", triangle_path, "--q", "1"],
+        ["sweep", "--input", str(quoted), "--grid", "0,1,2.5"],
+    ):
+        assert main([*argv, "--output", str(out_path)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out_path.read_bytes() == _reference(argv)
+        _writes_the_model_bytes(capsys, *argv)
 
 
 @pytest.fixture()
@@ -951,18 +669,15 @@ def test_json_table_is_written_block_by_block(label_table_input):
 
 @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
 def test_stdout_is_utf8_whatever_the_locale(encoding, label_table_input, tmp_path):
-    import lsentropy
-
     edges, _ = label_table_input
-    src = str(Path(lsentropy.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": encoding}
     for argv in (
         ["rank", "--q", "1"],
         ["sweep", "--grid", "0,1", "--format", "json"],
         ["states", "--grid", "0,1,2"],
         ["threshold", "--grid", "0,1,2", "--format", "json"],
     ):
-        command = [sys.executable, "-m", "lsentropy.cli", *argv, "--input", edges]
+        command, env = _cli_command(*argv, "--input", edges)
+        env["PYTHONIOENCODING"] = encoding
         out_path = tmp_path / "out"
         subprocess.run([*command, "--output", str(out_path)], env=env, check=True)
         proc = subprocess.run(command, capture_output=True, env=env)
@@ -972,11 +687,7 @@ def test_stdout_is_utf8_whatever_the_locale(encoding, label_table_input, tmp_pat
 
 
 def test_parse_error_reports_path_and_line(capsys, tmp_path):
-    path = tmp_path / "broken.edges"
-    path.write_text("a b\na b c\n")
-    code, out, err = _run(capsys, "rank", "--input", str(path), "--q", "1")
-    assert code == 1 and out == ""
-    assert str(path) in err and "line 2" in err
+    _refused("malformed-input", tmp_path, capsys)
 
 
 def test_self_loops_warn_but_do_not_fail(capsys, tmp_path):
@@ -993,64 +704,28 @@ def test_self_loops_warn_but_do_not_fail(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv", [["rank", "--q", "1"], ["threshold"]], ids=["rank", "threshold"]
 )
-def test_edge_list_with_a_byte_order_mark_reads_as_without(
-    capsys, karate_path, tmp_path, argv
-):
+def test_edge_list_with_a_byte_order_mark_reads_as_without(capsys, karate_path, tmp_path, argv):
     """A leading UTF-8 BOM is not part of the first label."""
     bom_path = tmp_path / "karate-bom.edges"
     bom_path.write_bytes(b"\xef\xbb\xbf" + Path(karate_path).read_bytes())
-    outputs = [
-        _run(capsys, *argv, "--input", path) for path in (karate_path, str(bom_path))
-    ]
-    assert outputs[0][0] == 0
-    assert outputs[1] == outputs[0]
+    _writes_the_model_bytes(capsys, *argv, "--input", str(bom_path))
 
 
-@pytest.mark.parametrize("command", ["rank", "compare", "compare-states"])
-def test_input_that_is_not_utf8_is_one_error_line_naming_it(
-    capsys, karate_path, tmp_path, command
-):
-    """A byte that does not decode is reported against the file that holds
-    it; for compare, the second of two files, or a states file first."""
-    if command == "rank":
-        bad = tmp_path / "bad.edges"
-        bad.write_bytes(b"1 2\n2 \xff3\n")
-        argv = ["rank", "--q", "1", "--input", str(bad)]
-    elif command == "compare":
-        good, bad = tmp_path / "r.csv", tmp_path / "bad.csv"
-        assert main(["rank", "--q", "1", "--input", karate_path, "--output", str(good)]) == 0
-        bad.write_bytes(b"label,degree,entropy,rank\n\xff,1,0.500000,1\n")
-        argv = ["compare", str(good), str(bad)]
-    else:
-        good, bad = tmp_path / "r.csv", tmp_path / "bad-states.csv"
-        assert main(["rank", "--q", "1", "--input", karate_path, "--output", str(good)]) == 0
-        bad.write_bytes(b'state,order\nOrder_q0,"1,\xff"\n')
-        argv = ["compare", str(bad), str(good)]
-    code, out, err = _run(capsys, *argv)
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error: "), err
-    assert str(bad) in err and "Traceback" not in err
+@_refusals("not-utf8")
+def test_input_that_is_not_utf8_is_one_error_line_naming_it(capsys, tmp_path, row):
+    _refused(row, tmp_path, capsys)
 
 
 def test_missing_input_file(capsys, tmp_path):
-    code, out, err = _run(
-        capsys, "rank", "--input", str(tmp_path / "absent.edges"), "--q", "1"
-    )
-    assert code == 1 and out == "" and "error:" in err
+    _refused("missing-input", tmp_path, capsys)
 
 
 def test_empty_input_file(capsys, tmp_path):
-    path = tmp_path / "empty.edges"
-    path.write_text("# no data\n")
-    code, _, err = _run(capsys, "sweep", "--input", str(path))
-    assert code == 1 and "no edges" in err
+    _refused("empty-input", tmp_path, capsys)
 
 
-def test_jobs_must_be_positive(capsys, karate_path):
-    code, _, err = _run(
-        capsys, "sweep", "--input", karate_path, "--grid", "0,1", "--jobs", "0"
-    )
-    assert code == 1 and "--jobs" in err
+def test_jobs_must_be_positive(capsys, tmp_path):
+    _refused("jobs-zero", tmp_path, capsys)
 
 
 def test_jobs_default_to_and_cap_at_usable_cpus():
@@ -1163,50 +838,19 @@ def test_json_echoes_an_input_path_that_is_not_utf8(tmp_path, karate_path):
 def test_stdout_bytes_same_for_any_jobs(argv, karate_path):
     """A forked worker inherits this process's buffered stdout; it must
     never flush it, or the header would be written twice."""
-    import lsentropy
-
-    src = str(Path(lsentropy.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe stays block-buffered
-    outputs = [
-        subprocess.run(
-            [sys.executable, "-m", "lsentropy.cli", *argv, "--input", karate_path,
-             "--jobs", jobs],
-            capture_output=True,
-            env=env,
-            check=True,
-        ).stdout
-        for jobs in ("1", "2")
-    ]
+    outputs = []
+    for jobs in ("1", "2"):
+        command, env = _cli_command(*argv, "--input", karate_path, "--jobs", jobs)
+        env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe stays block-buffered
+        outputs.append(subprocess.run(command, capture_output=True, env=env, check=True).stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"\n") > 1
 
 
-def test_json_config_echo_excludes_parallelism(capsys, karate_path):
-    _, serial, _ = _run(
-        capsys,
-        "sweep",
-        "--input",
-        karate_path,
-        "--grid",
-        "0,1",
-        "--format",
-        "json",
-    )
-    _, parallel, _ = _run(
-        capsys,
-        "sweep",
-        "--input",
-        karate_path,
-        "--grid",
-        "0,1",
-        "--jobs",
-        "2",
-        "--format",
-        "json",
-    )
-    assert serial == parallel
-    assert "jobs" not in json.loads(serial)["config"]
+def test_json_config_echo_excludes_parallelism(capsys, karate_path, jobs_as_requested):
+    argv = ("sweep", "--input", karate_path, "--grid", "0,1", "--format", "json")
+    for jobs in ("1", "2"):
+        _writes_the_model_bytes(capsys, *argv, "--jobs", jobs)
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):
@@ -1228,60 +872,41 @@ def test_console_script_entry_point(karate_path):
     assert proc.stdout.startswith("label,degree,entropy,rank")
 
 
+# Each code runs lse through cli.main on karate, with ``k`` its path.
+_RUN = "from lsentropy import cli, karate_edges_path; k = str(karate_edges_path()); assert "
+
+
 @pytest.mark.parametrize(
     "module, code",
     [
         ("scipy", "import lsentropy"),
         ("numpy", "import lsentropy"),
+        ("numpy", _RUN + "cli.main(['sweep', '--input', k, '--output', os.devnull]) == 0"),
         (
             "numpy",
-            "from lsentropy import cli, karate_edges_path; "
-            "cli.main(['sweep', '--input', str(karate_edges_path()), "
-            "'--output', os.devnull])",
+            _RUN + "cli.main(['threshold', '--refine', '--relaxed-tau', '0.05', "
+            "'--input', k, '--output', os.devnull]) == 0",
         ),
         (
             "numpy",
-            "from lsentropy import cli, karate_edges_path; "
-            "assert cli.main(['threshold', '--refine', '--relaxed-tau', '0.05', "
-            "'--input', str(karate_edges_path()), '--output', os.devnull]) == 0",
-        ),
-        (
-            "numpy",
-            "from lsentropy import cli, karate_edges_path; k = str(karate_edges_path()); "
-            "assert cli.main(['rank', '--q', '1', '--input', k, '--output', 'r.csv']) == 0; "
+            _RUN + "cli.main(['rank', '--q', '1', '--input', k, '--output', 'r.csv']) == 0; "
             "assert cli.main(['states', '--input', k, '--output', 's.csv']) == 0; "
             "assert cli.main(['compare', 'r.csv', 's.csv', '--output', os.devnull]) == 0",
         ),
         *(
-            (
-                module,
-                "from lsentropy import cli, karate_edges_path; "
-                "assert cli.main(['sweep', '--jobs', '2', '--input', "
-                "str(karate_edges_path()), '--output', os.devnull]) == 0",
-            )
+            (module, _RUN + "cli.main(['sweep', '--jobs', '2', '--input', k, "
+             "'--output', os.devnull]) == 0")
             for module in ("multiprocessing", "pickle")
         ),
     ],
     ids=[
-        "scipy-import",
-        "numpy-import",
-        "numpy-sweep",
-        "numpy-relaxed",
-        "numpy-compare",
-        "multiprocessing-sweep",
-        "pickle-sweep",
+        "scipy-import", "numpy-import", "numpy-sweep", "numpy-relaxed", "numpy-compare",
+        "multiprocessing-sweep", "pickle-sweep",
     ],
 )
 def test_heavy_module_stays_unloaded(module, code, tmp_path):
-    import lsentropy
-
-    src = str(Path(lsentropy.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import os, sys; {code}; print({module!r} in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        cwd=tmp_path,
-    )
+    _, env = _cli_command()
+    command = [sys.executable, "-c", f"import os, sys; {code}; print({module!r} in sys.modules)"]
+    proc = subprocess.run(command, capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"

@@ -66,6 +66,9 @@ def test_tsallis_rejects_bad_distributions():
         tsallis_entropy((), 1.0)
     with pytest.raises(ValueError):
         tsallis_entropy((0.5, 0.0, 0.5), 1.0)
+    # At q = 2 a zero share has a term, 0.0, so only the check refuses it.
+    with pytest.raises(ValueError, match=r"must lie in \(0, 1\], got 0.0"):
+        tsallis_entropy((0.5, 0.0, 0.5), 2.0)
     with pytest.raises(ValueError):
         tsallis_entropy((0.7, -0.2, 0.5), 1.0)
     with pytest.raises(ValueError):

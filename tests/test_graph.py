@@ -124,6 +124,9 @@ def test_graph_rejects_asymmetric_adjacency():
         Graph(labels=("a", "b"), adjacency=((1,), ()))
     with pytest.raises(ValueError, match=r"adjacency is not symmetric: 2->0"):
         Graph(labels=("a", "b", "c"), adjacency=((1,), (0,), (0,)))
+    # Of two one-sided edges, the one from the lower id is named.
+    with pytest.raises(ValueError, match=r"adjacency is not symmetric: 1->0"):
+        Graph(labels=("a", "b", "c"), adjacency=((), (0,), (0,)))
 
 
 def test_graph_rejects_duplicate_labels():
