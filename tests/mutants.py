@@ -7,10 +7,11 @@ replacement, runs ``python -m pytest`` there (differential and golden
 tests first, ``tests/test_mutants.py`` left out) with the copy's ``src``
 as the only ``PYTHONPATH`` entry, and puts the file back. It prints one
 JSON record per mutant: ``killed``, ``survived`` or ``timeout``, and the
-first failing test (every one with ``--matrix``, which drops ``-x``). A
-full run first checks that the copy passes unmutated. The exit status is
-1 when it does not, or when a mutant survives or times out that is not
-marked equivalent: one no input can tell from ``src/``, with the reason.
+first failing test (every one with ``--matrix``, which drops ``-x`` and
+ends with one summary record, see ``summary``). A full run first checks
+that the copy passes unmutated. The exit status is 1 when it does not,
+or when a mutant survives or times out that is not marked equivalent:
+one no input can tell from ``src/``, with the reason.
 Usage is in README's Tests section.
 """
 from __future__ import annotations
@@ -177,6 +178,18 @@ MUTANTS = [
        "abs(q - 1.0) <= Q_ONE_TOLERANCE", "abs(q - 1.0) < Q_ONE_TOLERANCE",
        equivalent="q - 1.0 is exact near 1, a multiple of 2**-53, and the double 1e-9 is"
        " not, so |q - 1| never equals the tolerance"),
+    # _workers.py
+    _m("item-to-next-worker", "_workers.py", "w = k % workers", "w = (k + 1) % workers"),
+    _m("worker-one-runs-here", "_workers.py",
+       "yield fn(item) if w == 0 else", "yield fn(item) if w == 1 else"),
+    _m("length-prefix-read-unsigned", "_workers.py",
+       'int.from_bytes(prefix, "little", signed=True)',
+       'int.from_bytes(prefix, "little", signed=False)'),
+    _m("error-sent-as-a-result", "_workers.py",
+       "_prefix(-len(message))", "_prefix(len(message))"),
+    _m("children-left-unreaped", "_workers.py",
+       "for pid in pids:\n            os.waitpid(pid, 0)",
+       "for pid in ():\n            os.waitpid(pid, 0)"),
 ]
 
 # Differential and golden tests kill most mutants, so they run first.
@@ -203,13 +216,46 @@ def failures(output: str) -> list[str]:
     return ids
 
 
+def suite_env(tree: Path) -> dict:
+    """The environment that imports ``tree``'s ``src`` alone."""
+    return {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def collect(tree: Path) -> list[str]:
+    """The test functions of the suite in ``tree``, parameter ids dropped."""
+    command = [sys.executable, "-m", "pytest", "-q", "--collect-only", "-p", "no:cacheprovider"]
+    proc = subprocess.run(
+        [*command, *suite_files(tree)], cwd=tree, env=suite_env(tree), text=True,
+        capture_output=True,
+    )
+    return list(dict.fromkeys(line.split("[")[0] for line in proc.stdout.splitlines()
+                              if "::" in line))
+
+
+def summary(records: list[dict], functions: list[str]) -> dict:
+    """The record ``--matrix`` ends with: mutants by outcome, seconds of
+    suite runs, and for each test function (of ``functions`` and those
+    that failed) the mutants that no other test function kills."""
+    counts = dict.fromkeys(("killed", "survived", "equivalent", "timeout"), 0)
+    sole_kills = {function: [] for function in functions}
+    for record in records:
+        status = record["status"]
+        counts["equivalent" if status != "killed" and record["equivalent"] else status] += 1
+        killers = {test.split("[")[0] for test in record["failures"]}
+        for function in killers:
+            sole_kills.setdefault(function, [])
+        if len(killers) == 1:
+            sole_kills[killers.pop()].append(record["mutant"])
+    seconds = round(sum(record["seconds"] for record in records), 1)
+    return {"summary": counts, "seconds": seconds, "sole_kills": sole_kills}
+
+
 def run_suite(tree: Path, matrix: bool) -> tuple[str, list[str]]:
     """("passed" | "failed" | "timeout", failing test ids) of the suite in ``tree``."""
     command = [sys.executable, "-m", "pytest", "-q", "-rfE", "--tb=no", "-p", "no:cacheprovider"]
     command += [] if matrix else ["-x"]
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.Popen(
-        [*command, *suite_files(tree)], cwd=tree, env=env, text=True,
+        [*command, *suite_files(tree)], cwd=tree, env=suite_env(tree), text=True,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, start_new_session=True,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES,) * 2),
     )
@@ -252,7 +298,9 @@ def run(mutant: Mutant, tree: Path, matrix: bool) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--only", nargs="+", metavar="NAME", help="run these mutants only")
-    parser.add_argument("--matrix", action="store_true", help="no -x; list every failing test")
+    parser.add_argument(
+        "--matrix", action="store_true", help="no -x; list every failing test, then a summary"
+    )
     args = parser.parse_args(argv)
     by_name = {mutant.name: mutant for mutant in MUTANTS}
     unknown = set(args.only or ()) - by_name.keys()
@@ -270,10 +318,14 @@ def main(argv=None) -> int:
             print(json.dumps(record), flush=True)
             if outcome != "passed":
                 return 1
+        records = []
         for mutant in chosen:
             record = run(mutant, tree, args.matrix)
+            records.append(record)
             print(json.dumps(record, ensure_ascii=False), flush=True)
             escaped += record["status"] != "killed" and not mutant.equivalent
+        if args.matrix:
+            print(json.dumps(summary(records, collect(tree)), ensure_ascii=False), flush=True)
     return 1 if escaped else 0
 
 

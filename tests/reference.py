@@ -8,7 +8,9 @@ definition, with none of the implementation's shortcuts: one ``sorted``
 per q, a full sweep of the grid, detection and refine from pairwise
 counts, Kendall tau from an O(n^2) count, and ``csv.writer`` and one
 ``json.dumps`` over whole rows. ``REFUSALS`` holds every input ``lse``
-refuses, with its exit status and the one ``error:`` line it writes.
+refuses, with its exit status and the one ``error:`` line it writes;
+``CASES`` holds fixed inputs whose bytes ``lse`` must write as the model
+does.
 """
 import csv
 import io
@@ -19,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from lsentropy import load_edge_list, local_structure_entropy
+from lsentropy import karate_edges_path, load_edge_list, local_structure_entropy
 
 DEFAULT_GRID = "0:2:0.1,2.2:4:0.2,4.5:10:0.5"
 REFINE_RESOLUTION = 0.1
@@ -233,6 +235,7 @@ class Refusal(NamedTuple):
     line: str
 
 
+_TRIANGLE = {"t.edges": b"1 2\n2 3\n3 1\n"}
 _RANKS = b"label,degree,entropy,rank\n"
 _OK = {"ok.csv": _RANKS + b"x,1,0.5,1\ndupe,1,0.5,2\n"}
 _T = "--input {dir}/t.edges"  # a triangle
@@ -242,7 +245,7 @@ _ABSENT = "--input {dir}/absent.edges"
 def _row(argv, line, files=None):
     """``lse argv``, split at spaces, refused with ``line``: status 2 when
     argparse refuses it, that is when ``line`` starts with "lse"."""
-    files = {"t.edges": b"1 2\n2 3\n3 1\n"} if files is None else files
+    files = _TRIANGLE if files is None else files
     return Refusal(files, tuple(argv.split(" ")), 1 + line.startswith("lse"), line)
 
 
@@ -281,13 +284,13 @@ _BAD_RANK_ROWS = {
 }
 _STATES_TWICE = b'state,order\nOrder_q0,"a,b,c"\nOrder_q1,"a,b,c"\nOrder_q0,"c,b,a"\n'
 
-# Every refusal, keyed "group/case" or by a case alone; ``test_cli.py``
-# runs each group, and each case alone, under one test of that name.
+# Every refusal, keyed "family/case" or by a case alone; ``test_cli.py``
+# runs each row once, with its key as the test id.
 REFUSALS = {
     "negative-q": _row(f"rank {_T} --q -1", _Q),
-    "lse/q-nan": _row(f"rank {_T} --q nan", _Q),
-    "lse/q-inf": _row(f"rank {_T} --q inf", _Q),
-    "lse/q-not-a-number": _row(
+    "q-nan": _row(f"rank {_T} --q nan", _Q),
+    "q-inf": _row(f"rank {_T} --q inf", _Q),
+    "q-not-a-number": _row(
         f"rank {_T} --q x", "lse rank: error: argument --q: invalid float value: 'x'"
     ),
     # argparse reads a separate spec that starts with "-" as an option.
@@ -302,12 +305,12 @@ REFUSALS = {
         "error: grid must be strictly increasing (2.0 !< 1.0)",
     ),
     "non-finite-grid": _row(f"sweep {_T} --grid 0:nan:1", _SEGMENT.format("0:nan:1")),
-    "lse/grid-infinite": _row(f"sweep {_T} --grid 0:inf:1", _SEGMENT.format("0:inf:1")),
-    "lse/grid-of-two-parts": _row(f"sweep {_T} --grid 0:1", _SEGMENT.format("0:1")),
-    "lse/grid-negative-point": _row(
+    "grid-infinite": _row(f"sweep {_T} --grid 0:inf:1", _SEGMENT.format("0:inf:1")),
+    "grid-of-two-parts": _row(f"sweep {_T} --grid 0:1", _SEGMENT.format("0:1")),
+    "grid-negative-point": _row(
         f"sweep {_T} --grid=-1,0", "error: grid values must be finite and >= 0, got -1.0"
     ),
-    "lse/grid-zero-step": _row(
+    "grid-zero-step": _row(
         f"threshold {_T} --grid 0:1:0", "error: grid step must be positive in '0:1:0'"
     ),
     # Grids refused before the missing input file is read.
@@ -333,22 +336,22 @@ REFUSALS = {
         for c in ("states", "threshold")
     },
     "relaxed-tau-out-of-range": _row(f"threshold {_T} --relaxed-tau 0.2", _TAU),
-    "lse/relaxed-tau-zero": _row(f"threshold {_T} --relaxed-tau 0", _TAU),
-    "lse/relaxed-tau-negative": _row(f"threshold {_T} --relaxed-tau=-0.05", _TAU),
-    "lse/relaxed-tau-nan": _row(f"states {_T} --relaxed-tau nan", _TAU),
-    "lse/relaxed-tau-past-max": _row(f"states {_T} --relaxed-tau 0.06", _TAU),
-    "lse/relaxed-tau-not-a-number": _row(
+    "relaxed-tau-zero": _row(f"threshold {_T} --relaxed-tau 0", _TAU),
+    "relaxed-tau-negative": _row(f"threshold {_T} --relaxed-tau=-0.05", _TAU),
+    "relaxed-tau-nan": _row(f"states {_T} --relaxed-tau nan", _TAU),
+    "relaxed-tau-past-max": _row(f"states {_T} --relaxed-tau 0.06", _TAU),
+    "relaxed-tau-not-a-number": _row(
         f"threshold {_T} --relaxed-tau x",
         "lse threshold: error: argument --relaxed-tau: invalid float value: 'x'",
     ),
     "jobs-zero": _row(f"sweep {_T} --jobs 0", _JOBS),
-    "lse/jobs-negative": _row(f"sweep {_T} --jobs -1", _JOBS),
-    "lse/jobs-not-an-integer": _row(
+    "jobs-negative": _row(f"sweep {_T} --jobs -1", _JOBS),
+    "jobs-not-an-integer": _row(
         f"sweep {_T} --jobs x", "lse sweep: error: argument --jobs: invalid int value: 'x'"
     ),
     # Only sweep takes --jobs.
     **{
-        f"lse/jobs-for-{c}": _row(
+        f"jobs-for-{c}": _row(
             f"{c} {_T} --jobs 2", "lse: error: unrecognized arguments: --jobs 2"
         )
         for c in ("threshold", "states")
@@ -358,12 +361,12 @@ REFUSALS = {
         "error: [Errno 2] No such file or directory: '{dir}/absent.edges'", {},
     ),
     "empty-input": _input("sweep", b"# no data\n", "no edges found in input"),
-    "lse/input-of-no-bytes": _input("rank --q 1", b"", "no edges found in input"),
-    "lse/input-of-self-loops": _input("states", b"a a\n", "no edges found in input"),
+    "input-of-no-bytes": _input("rank --q 1", b"", "no edges found in input"),
+    "input-of-self-loops": _input("states", b"a a\n", "no edges found in input"),
     "malformed-input": _input(
         "rank --q 1", b"a b\na b c\n", "line 2: expected 2 labels, found 3: 'a b c'"
     ),
-    "lse/input-line-of-one-label": _input(
+    "input-line-of-one-label": _input(
         "threshold", b"a b\r\nc\r\n", "line 2: expected 2 labels, found 1: 'c'"
     ),
     # A byte that does not decode is reported against the file holding it.
@@ -431,8 +434,68 @@ REFUSALS = {
             for name, first in (("a.csv", 1), ("b.csv", 7))
         },
     ),
-    "lse/compare-missing-file": _row(
+    "compare-missing-file": _row(
         "compare {dir}/ok.csv {dir}/absent.csv",
         "error: [Errno 2] No such file or directory: '{dir}/absent.csv'", _OK,
     ),
+}
+
+
+class Case(NamedTuple):
+    """A run ``lse`` completes: ``files`` (name to bytes) are written to a
+    fresh directory, ``{dir}`` in ``argv`` reads as that directory, and the
+    run writes the model's bytes with nothing on stderr."""
+
+    files: dict
+    argv: tuple
+
+
+_KARATE = karate_edges_path().read_bytes()
+_K5 = "".join(f"{u} {v}\n" for u in range(1, 6) for v in range(u + 1, 6)).encode()
+
+
+def _case(argv, edges=None):
+    """``lse argv``, split at spaces, with ``--input`` the triangle
+    ``{dir}/t.edges``, or ``{dir}/in.edges`` holding ``edges``."""
+    if edges is None:
+        return Case(_TRIANGLE, tuple(f"{argv} {_T}".split(" ")))
+    return Case({"in.edges": edges}, tuple(f"{argv} --input {{dir}}/in.edges".split(" ")))
+
+
+# Fixed inputs, keyed "family/case" or by a case alone; ``test_cli.py``
+# checks each once against the model's bytes, with its key as the test id.
+CASES = {
+    "rank-triangle": _case("rank --q 1"),
+    # -0 reads as 0.0, in the echoed q and in every grid point.
+    "minus-zero/rank": _case("rank --q -0"),
+    "minus-zero/rank-json": _case("rank --q -0 --format json"),
+    "minus-zero/sweep-point": _case("sweep --grid=-0,1"),
+    "minus-zero/sweep-range": _case("sweep --grid=-0:1:0.5 --format json"),
+    "sweep-karate": _case("sweep", _KARATE),
+    "sweep-karate-q0-q1": _case("sweep --grid 0,1", _KARATE),
+    "sweep-single-edge": _case("sweep --grid 0,1,2", b"a b\n"),
+    # The JSON config echoes no --jobs.
+    **{
+        f"sweep-json-jobs/{jobs}": _case(f"sweep --grid 0,1 --format json --jobs {jobs}", _KARATE)
+        for jobs in (1, 2)
+    },
+    "threshold-k5": _case("threshold", _K5),
+    "threshold-star": _case("threshold", b"".join(b"c l%d\n" % i for i in range(6))),
+    "threshold-undetected": _case("threshold --grid 0,5,10", _KARATE),
+    "threshold-refine": _case("threshold --refine", _KARATE),
+    "threshold-relaxed": _case("threshold --relaxed-tau 0.05", _KARATE),
+    "states-path": _case("states --grid 0,1,2", b"a b\nb c\n"),
+    "states-k5": _case("states --grid 0,1,2", _K5),
+    # Exact detection finds 2 and 3 apart; T = 0.05 takes them as one.
+    "states-off-grid/exact": _case("states --grid 2,3", _KARATE),
+    "states-off-grid/relaxed": _case("states --grid 2,3 --relaxed-tau 0.05", _KARATE),
+    # On this grid exact detection finds no stable suffix; T = 0.05 does.
+    "states-to-8/exact": _case("states --grid 0:8:0.5", _KARATE),
+    "states-to-8/relaxed": _case("states --grid 0:8:0.5 --relaxed-tau 0.05", _KARATE),
+    "states-to-8/relaxed-json": _case(
+        "states --grid 0:8:0.5 --relaxed-tau 0.05 --format json", _KARATE
+    ),
+    # A leading UTF-8 byte-order mark is not part of the first label.
+    "byte-order-mark/rank": _case("rank --q 1", b"\xef\xbb\xbf" + _KARATE),
+    "byte-order-mark/threshold": _case("threshold", b"\xef\xbb\xbf" + _KARATE),
 }

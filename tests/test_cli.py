@@ -57,14 +57,21 @@ def _writes_the_model_bytes(capsys, *argv):
     assert out.encode() == _reference(list(argv)), argv
 
 
-def _refused(row, tmp_path, capsys):
-    """``lse`` refuses row ``row`` of ``reference.REFUSALS`` as the row says,
-    writing nothing but its one error line."""
-    refusal = reference.REFUSALS[row]
-    for name, data in refusal.files.items():
+def _written(row, tmp_path):
+    """Write a table row's input files to ``tmp_path``; its argv, with
+    ``{dir}`` read as that directory."""
+    for name, data in row.files.items():
         (tmp_path / name).write_bytes(data)
+    return [arg.replace("{dir}", str(tmp_path)) for arg in row.argv]
+
+
+@pytest.mark.parametrize("key", reference.REFUSALS)
+def test_lse_refuses(capsys, tmp_path, key):
+    """``lse`` refuses row ``key`` of ``reference.REFUSALS`` as the row says,
+    writing nothing but its one error line."""
+    refusal = reference.REFUSALS[key]
     try:
-        code = main([arg.replace("{dir}", str(tmp_path)) for arg in refusal.argv])
+        code = main(_written(refusal, tmp_path))
     except SystemExit as exc:  # argparse's refusals
         code = exc.code
     out, err = capsys.readouterr()
@@ -77,10 +84,11 @@ def _refused(row, tmp_path, capsys):
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(refusal.files)
 
 
-def _refusals(group):
-    """Parametrize a test over the refusal table's rows ``group/case``."""
-    rows = [row for row in reference.REFUSALS if row.startswith(f"{group}/")]
-    return pytest.mark.parametrize("row", rows, ids=[row.split("/", 1)[1] for row in rows])
+@pytest.mark.parametrize("key", reference.CASES)
+def test_lse_writes_the_model_bytes(capsys, tmp_path, jobs_as_requested, key):
+    """``lse`` writes the model's bytes for row ``key`` of
+    ``reference.CASES``; ``--jobs N`` runs N processes on any host."""
+    _writes_the_model_bytes(capsys, *_written(reference.CASES[key], tmp_path))
 
 
 @pytest.fixture(scope="session")
@@ -93,120 +101,6 @@ def triangle_path(tmp_path):
     path = tmp_path / "triangle.edges"
     path.write_text("1 2\n2 3\n3 1\n")
     return str(path)
-
-
-@pytest.fixture()
-def k5_path(tmp_path):
-    path = tmp_path / "k5.edges"
-    lines = [f"{u} {v}" for u, v in itertools.combinations("12345", 2)]
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
-
-
-def test_rank_triangle_symmetry(capsys, triangle_path):
-    _writes_the_model_bytes(capsys, "rank", "--input", triangle_path, "--q", "1")
-
-
-def test_rank_karate_q0_top_row(capsys, karate_path):
-    code, out, _ = _run(capsys, "rank", "--input", karate_path, "--q", "0")
-    assert code == 0
-    assert out.splitlines()[1] == "34,17,17.000000,1"
-
-
-def test_rank_entropy_has_six_decimals(capsys, karate_path):
-    _, out, _ = _run(capsys, "rank", "--input", karate_path, "--q", "1")
-    for row in _rows(out)[1:]:
-        whole, _, frac = row[2].partition(".")
-        assert whole.isdigit() and len(frac) == 6
-
-
-def test_rank_rejects_negative_q(capsys, tmp_path):
-    _refused("negative-q", tmp_path, capsys)
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_rank_writes_minus_zero_q_as_zero(capsys, triangle_path, fmt):
-    argv = ("rank", "--input", triangle_path, "--format", fmt, "--q")
-    plain = _run(capsys, *argv, "0")
-    assert plain[0] == 0
-    assert _run(capsys, *argv, "-0") == plain
-
-
-def test_sweep_default_grid_row_count(capsys, karate_path):
-    _writes_the_model_bytes(capsys, "sweep", "--input", karate_path)
-
-
-def test_sweep_q0_block_reproduces_degree_order(capsys, karate_path):
-    _writes_the_model_bytes(capsys, "sweep", "--input", karate_path, "--grid", "0,1")
-
-
-def test_sweep_single_edge_symmetry(capsys, tmp_path):
-    path = tmp_path / "edge.edges"
-    path.write_text("a b\n")
-    _writes_the_model_bytes(capsys, "sweep", "--input", str(path), "--grid", "0,1,2")
-
-
-@pytest.mark.parametrize("spec", ["-0,1", "-0:1:0.5"])
-def test_sweep_writes_minus_zero_as_zero(capsys, triangle_path, spec):
-    argv = ("sweep", "--input", triangle_path)
-    _, plain, _ = _run(capsys, *argv, "--grid", spec.replace("-0", "0", 1))
-    code, out, _ = _run(capsys, *argv, f"--grid={spec}")
-    assert code == 0 and out == plain
-    assert _rows(out)[1][0] == "0.0"
-
-
-@_refusals("grid-with-minus")
-def test_grid_spec_starting_with_minus_is_written_with_equals(capsys, tmp_path, row):
-    _refused(row, tmp_path, capsys)
-
-
-def test_sweep_rejects_bad_grid(capsys, tmp_path):
-    _refused("bad-grid", tmp_path, capsys)
-
-
-def test_sweep_rejects_non_finite_grid_bound(capsys, tmp_path):
-    _refused("non-finite-grid", tmp_path, capsys)
-
-
-@_refusals("grid-step")
-def test_bad_grid_reported_before_input_is_read(capsys, tmp_path, row):
-    _refused(row, tmp_path, capsys)
-
-
-@_refusals("oversized-grid")
-def test_oversized_grid_reported_before_input_is_read(capsys, tmp_path, row):
-    _refused(row, tmp_path, capsys)
-
-
-@_refusals("short-grid")
-def test_command_grid_rule_reported_before_input_is_read(capsys, tmp_path, row):
-    _refused(row, tmp_path, capsys)
-
-
-def test_threshold_complete_graph_stable_from_zero(capsys, k5_path):
-    _writes_the_model_bytes(capsys, "threshold", "--input", k5_path)
-
-
-def test_threshold_star_stable_from_zero(capsys, tmp_path):
-    path = tmp_path / "star.edges"
-    path.write_text("".join(f"c l{i}\n" for i in range(6)))
-    _writes_the_model_bytes(capsys, "threshold", "--input", str(path))
-
-
-def test_threshold_undetected_reports_null(capsys, karate_path):
-    _writes_the_model_bytes(capsys, "threshold", "--input", karate_path, "--grid", "0,5,10")
-
-
-def test_threshold_refine_row(capsys, karate_path):
-    _writes_the_model_bytes(capsys, "threshold", "--input", karate_path, "--refine")
-
-
-def test_threshold_relaxed_mode(capsys, karate_path):
-    _writes_the_model_bytes(capsys, "threshold", "--input", karate_path, "--relaxed-tau", "0.05")
-
-
-def test_threshold_relaxed_tau_out_of_range(capsys, tmp_path):
-    _refused("relaxed-tau-out-of-range", tmp_path, capsys)
 
 
 @pytest.fixture()
@@ -359,55 +253,6 @@ def test_states_scores_what_threshold_scores_plus_two(capsys, monkeypatch, karat
         assert len(scored["states"]) == points, relaxed
 
 
-def test_threshold_and_states_run_in_one_process(capsys, forkless_on, karate_path):
-    """Detection scores its blocks in this process, whatever the CPU
-    count: with ``os.fork`` raising, every detection path succeeds."""
-    forkless_on(4)
-    for argv in (
-        ["threshold"],
-        ["threshold", "--relaxed-tau", "0.05"],
-        ["threshold", "--refine", "--relaxed-tau", "0.05"],
-        ["states"],
-        ["states", "--relaxed-tau", "0.05"],
-    ):
-        code, out, err = _run(capsys, *argv, "--input", karate_path)
-        assert code == 0 and err == "" and out, argv
-
-
-def test_states_path_center_first(capsys, tmp_path):
-    path = tmp_path / "p3.edges"
-    path.write_text("a b\nb c\n")
-    _, out, _ = _run(capsys, "states", "--input", str(path), "--grid", "0,1,2")
-    for row in _rows(out)[1:]:
-        assert row[1].split(",")[0] == "b"
-
-
-def test_states_complete_graph_identical_rows(capsys, k5_path):
-    _, out, _ = _run(capsys, "states", "--input", k5_path, "--grid", "0,1,2")
-    values = {row[1] for row in _rows(out)[1:]}
-    assert values == {"1,2,3,4,5"}
-
-
-@pytest.mark.parametrize("relaxed", [(), ("--relaxed-tau", "0.05")], ids=["exact", "relaxed"])
-def test_states_scores_zero_and_one_off_the_grid(capsys, karate_path, relaxed):
-    # Exact detection finds 2 and 3 apart; T = 0.05 takes them as one.
-    _writes_the_model_bytes(capsys, "states", "--input", karate_path, "--grid", "2,3", *relaxed)
-
-
-def test_states_relaxed_tau_finds_stable_row(capsys, karate_path):
-    # On this grid exact detection finds no stable suffix; T = 0.05 does.
-    argv = ("states", "--input", karate_path, "--grid", "0:8:0.5")
-    for options in ([], ["--relaxed-tau", "0.05"], ["--relaxed-tau", "0.05", "--format", "json"]):
-        _writes_the_model_bytes(capsys, *argv, *options)
-
-
-def test_compare_rank_file_with_itself(capsys, karate_path, tmp_path):
-    out_path = str(tmp_path / "rank.csv")
-    assert main(["rank", "--input", karate_path, "--q", "0", "--output", out_path]) == 0
-    expected = "kendall_tau,top5_overlap,top10_overlap\n1.0,1.0,1.0\n"
-    assert _run(capsys, "compare", out_path, out_path) == (0, expected, "")
-
-
 def test_compare_reversed_rank_files(capsys, tmp_path):
     paths = [str(tmp_path / "forward.csv"), str(tmp_path / "backward.csv")]
     for path, labels in zip(paths, (range(1, 8), range(7, 0, -1))):
@@ -470,11 +315,6 @@ def test_compare_reads_a_states_file_of_any_size(capsys, tmp_path):
     assert len(rows) == 2
 
 
-@_refusals("duplicate-label")
-def test_compare_duplicate_label_is_one_error_line_naming_file_and_label(capsys, tmp_path, row):
-    _refused(row, tmp_path, capsys)
-
-
 def test_compare_label_holding_a_nul_byte_is_read_or_refused_naming_the_file(
     capsys, tmp_path
 ):
@@ -491,36 +331,6 @@ def test_compare_label_holding_a_nul_byte_is_read_or_refused_naming_the_file(
         assert str(path) in err
 
 
-def test_compare_label_mismatch_lists_difference(capsys, tmp_path):
-    _refused("label-mismatch", tmp_path, capsys)
-
-
-def test_compare_missing_stable_row_fails(capsys, tmp_path):
-    _refused("no-stable-state", tmp_path, capsys)
-
-
-@_refusals("lse")
-def test_lse_refuses(capsys, tmp_path, row):
-    """The table's rows in group ``lse``: refusals that no test of their own
-    names."""
-    _refused(row, tmp_path, capsys)
-
-
-@_refusals("rank-column")
-def test_compare_refuses_a_rank_column_other_than_1_to_n(capsys, tmp_path, row):
-    _refused(row, tmp_path, capsys)
-
-
-@_refusals("rank-row")
-def test_compare_refuses_a_malformed_ranking_row(capsys, tmp_path, row):
-    _refused(row, tmp_path, capsys)
-
-
-@_refusals("states-row")
-def test_compare_refuses_a_malformed_states_row(capsys, tmp_path, row):
-    _refused(row, tmp_path, capsys)
-
-
 def test_compare_reads_rank_rows_in_any_order(capsys, tmp_path):
     path = tmp_path / "shuffled.csv"
     path.write_text("label,degree,entropy,rank\nb,1,0.5,2\nc,1,0.5,3\na,1,0.5,1\n")
@@ -528,24 +338,6 @@ def test_compare_reads_rank_rows_in_any_order(capsys, tmp_path):
     ordered.write_text("label,degree,entropy,rank\na,1,0.5,1\nb,1,0.5,2\nc,1,0.5,3\n")
     code, out, _ = _run(capsys, "compare", str(path), str(ordered))
     assert code == 0 and _rows(out)[1] == ["1.0", "1.0", "1.0"]
-
-
-@_refusals("state-twice")
-def test_compare_refuses_a_state_named_twice(capsys, tmp_path, row):
-    _refused(row, tmp_path, capsys)
-
-
-def test_compare_refuses_a_states_file_without_the_requested_row(capsys, tmp_path):
-    _refused("missing-state", tmp_path, capsys)
-
-
-@_refusals("empty-ranking")
-def test_compare_rejects_empty_rankings(capsys, tmp_path, row):
-    _refused(row, tmp_path, capsys)
-
-
-def test_compare_rejects_unknown_header(capsys, tmp_path):
-    _refused("unknown-header", tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
@@ -686,10 +478,6 @@ def test_stdout_is_utf8_whatever_the_locale(encoding, label_table_input, tmp_pat
         assert "é漢".encode() in proc.stdout
 
 
-def test_parse_error_reports_path_and_line(capsys, tmp_path):
-    _refused("malformed-input", tmp_path, capsys)
-
-
 def test_self_loops_warn_but_do_not_fail(capsys, tmp_path):
     path = tmp_path / "loops.edges"
     path.write_text("a a\na b\n")
@@ -699,33 +487,6 @@ def test_self_loops_warn_but_do_not_fail(capsys, tmp_path):
     rows = _rows(out)[1:]
     # the loop contributes nothing: both nodes keep degree 1
     assert {row[1] for row in rows} == {"1"}
-
-
-@pytest.mark.parametrize(
-    "argv", [["rank", "--q", "1"], ["threshold"]], ids=["rank", "threshold"]
-)
-def test_edge_list_with_a_byte_order_mark_reads_as_without(capsys, karate_path, tmp_path, argv):
-    """A leading UTF-8 BOM is not part of the first label."""
-    bom_path = tmp_path / "karate-bom.edges"
-    bom_path.write_bytes(b"\xef\xbb\xbf" + Path(karate_path).read_bytes())
-    _writes_the_model_bytes(capsys, *argv, "--input", str(bom_path))
-
-
-@_refusals("not-utf8")
-def test_input_that_is_not_utf8_is_one_error_line_naming_it(capsys, tmp_path, row):
-    _refused(row, tmp_path, capsys)
-
-
-def test_missing_input_file(capsys, tmp_path):
-    _refused("missing-input", tmp_path, capsys)
-
-
-def test_empty_input_file(capsys, tmp_path):
-    _refused("empty-input", tmp_path, capsys)
-
-
-def test_jobs_must_be_positive(capsys, tmp_path):
-    _refused("jobs-zero", tmp_path, capsys)
 
 
 def test_jobs_default_to_and_cap_at_usable_cpus():
@@ -845,12 +606,6 @@ def test_stdout_bytes_same_for_any_jobs(argv, karate_path):
         outputs.append(subprocess.run(command, capture_output=True, env=env, check=True).stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"\n") > 1
-
-
-def test_json_config_echo_excludes_parallelism(capsys, karate_path, jobs_as_requested):
-    argv = ("sweep", "--input", karate_path, "--grid", "0,1", "--format", "json")
-    for jobs in ("1", "2"):
-        _writes_the_model_bytes(capsys, *argv, "--jobs", jobs)
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):

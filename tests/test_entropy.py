@@ -42,12 +42,6 @@ def test_tsallis_q0_counts_support_minus_one():
         assert tsallis_entropy(probs, 0.0) == n - 1
 
 
-def test_shannon_branch_matches_direct_formula():
-    probs = (0.5, 0.3, 0.2)
-    direct = -sum(p * math.log(p) for p in probs)
-    assert tsallis_entropy(probs, 1.0) == pytest.approx(direct, abs=1e-15)
-
-
 @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 2.0])
 def test_tsallis_of_a_one_point_distribution_is_positive_zero(q):
     # The Shannon branch negates 0.0, and q < 1 divides 0.0 by q - 1 < 0.
@@ -84,12 +78,6 @@ def test_tsallis_rejects_bad_index():
         tsallis_entropy((0.5, 0.5), math.nan)
 
 
-def test_path_degree_shares():
-    g = load_edge_list("a b\nb c\n")
-    assert local_degree_distribution(g, 1) == (0.25, 0.5, 0.25)
-    assert local_degree_distribution(g, 0) == (1 / 3, 2 / 3)
-
-
 def test_degree_shares_sum_to_one(karate):
     for i in range(karate.node_count):
         total = math.fsum(local_degree_distribution(karate, i))
@@ -123,12 +111,6 @@ def test_hub_reference_entropy():
     assert local_structure_entropy(g, hub, 1.0) == pytest.approx(
         1.89426, abs=1e-4
     )
-
-
-def test_entropy_at_q0_equals_degree_on_path():
-    g = load_edge_list("a b\nb c\n")
-    assert local_structure_entropy(g, 1, 0.0) == 2.0
-    assert local_structure_entropy(g, 0, 0.0) == 1.0
 
 
 def test_isolated_node_scores_zero():

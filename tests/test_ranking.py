@@ -111,11 +111,6 @@ def test_score_table_stores_labels_as_a_tuple():
     assert ScoreTable(q=1.0, labels=labels, scores=(1.0, 2.0)).labels is labels
 
 
-def test_ranking_rejects_duplicates():
-    with pytest.raises(ValueError):
-        Ranking(("a", "a"))
-
-
 def test_duplicate_error_names_the_first_repeated_label():
     with pytest.raises(ValueError, match="duplicate labels.*'b'"):
         Ranking(("a", "b", "c", "b", "a"))
@@ -169,37 +164,6 @@ def test_results_keep_id_orders_over_the_graph_labels(karate, monkeypatch, tmp_p
         for form in ("csv", "json"):
             argv = [*command.split(), "--input", str(karate_edges_path()), "--format", form]
             assert main([*argv, "--output", str(tmp_path / "out")]) == 0
-
-
-def test_score_all_matches_pointwise(karate):
-    table = score_all(karate, 0.0)
-    assert table.scores == array("d", karate.degrees)
-
-
-def test_triangle_scores_identical_at_any_q():
-    g = load_edge_list("a b\nb c\nc a\n")
-    for q in (0.0, 0.7, 1.0, 3.0):
-        table = score_all(g, q)
-        assert len(set(table.scores)) == 1
-
-
-def test_q0_first_is_max_degree_node():
-    rng = random.Random(9)
-    for _ in range(25):
-        n = rng.randint(2, 30)
-        edges = {(u, rng.randrange(u + 1, n)) for u in range(n - 1)}
-        g = Graph.from_edge_labels((str(u), str(v)) for u, v in sorted(edges))
-        first = rank(score_all(g, 0.0)).ordered_labels[0]
-        assert g.degrees[g.labels.index(first)] == max(g.degrees)
-
-
-def test_sweep_lengths_and_consistency(karate):
-    grid = (0.0, 1.0, 2.0)
-    result = sweep(karate, grid)
-    assert result.grid == grid
-    assert len(result.score_tables) == len(result.rankings) == 3
-    for table, ranking in zip(result.score_tables, result.rankings):
-        assert rank(table) == ranking
 
 
 def test_sweep_rejects_bad_grids(karate):
@@ -655,23 +619,6 @@ def test_refine_relaxed_accepts_exactly_the_tau_floor(monkeypatch):
     assert refine_threshold(None, result, report, relaxed_tau=0.01) == 0.3125
 
 
-def _q0_q1_stable(graph, grid):
-    """The q=0, q=1 and stable orderings, as the library composes them."""
-    stable = detect_threshold(sweep(graph, grid)).stable_ranking
-    return rank(score_all(graph, 0.0)), rank(score_all(graph, 1.0)), stable
-
-
-def test_path_center_first_at_q0_q1_and_stable():
-    g = load_edge_list("a b\nb c\n")
-    for order in _q0_q1_stable(g, (0.0, 1.0, 2.0, 3.0)):
-        assert order.ordered_labels[0] == "b"
-
-
-def test_complete_graph_q0_q1_and_stable_identical():
-    order_q0, order_q1, order_stable = _q0_q1_stable(_complete_graph_k5(), (0.0, 1.0, 2.0))
-    assert order_q0 == order_q1 == order_stable
-
-
 def test_extending_grid_never_lowers_p_value(karate):
     base = default_grid()
     extended = base + (11.0, 12.0, 15.0, 20.0)
@@ -693,30 +640,6 @@ def _tau_oracle(a, b):
             discordant += 1
     root = math.sqrt(concordant + discordant)
     return min(1.0, max(-1.0, (concordant - discordant) / root / root))
-
-
-def test_compare_identity():
-    ranking = Ranking(("1", "2", "3", "4"))
-    result = compare_rankings(ranking, ranking)
-    assert result.kendall_tau == 1.0
-    assert result.top_k_overlap == {5: 1.0, 10: 1.0}
-
-
-def test_compare_reversal():
-    a = Ranking(tuple(str(i) for i in range(1, 13)))
-    b = Ranking(tuple(reversed(a.ordered_labels)))
-    result = compare_rankings(a, b)
-    assert result.kendall_tau == pytest.approx(-1.0)
-    assert result.top_k_overlap[5] == 0.0
-    assert result.top_k_overlap[10] == pytest.approx(0.8)
-
-
-def test_compare_single_swap_matches_pair_enumeration():
-    a = Ranking(("1", "2", "3", "4"))
-    b = Ranking(("1", "3", "2", "4"))
-    result = compare_rankings(a, b)
-    assert result.kendall_tau == pytest.approx(_tau_oracle(a.ordered_labels, b.ordered_labels))
-    assert result.kendall_tau == pytest.approx(4 / 6, abs=1e-12)
 
 
 def test_compare_random_permutations_match_pair_enumeration():
