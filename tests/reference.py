@@ -285,7 +285,8 @@ _BAD_RANK_ROWS = {
 _STATES_TWICE = b'state,order\nOrder_q0,"a,b,c"\nOrder_q1,"a,b,c"\nOrder_q0,"c,b,a"\n'
 
 # Every refusal, keyed "family/case" or by a case alone; ``test_cli.py``
-# runs each row once, with its key as the test id.
+# runs each row once: a family under a test of its own, with the case as
+# the test id, any other row under ``test_lse_refuses``, with its key.
 REFUSALS = {
     "negative-q": _row(f"rank {_T} --q -1", _Q),
     "q-nan": _row(f"rank {_T} --q nan", _Q),
@@ -463,20 +464,22 @@ def _case(argv, edges=None):
 
 
 # Fixed inputs, keyed "family/case" or by a case alone; ``test_cli.py``
-# checks each once against the model's bytes, with its key as the test id.
+# checks each once against the model's bytes: a family under a test of its
+# own, with the case as the test id, any other row under
+# ``test_lse_writes_the_model_bytes``, with its key.
 CASES = {
     "rank-triangle": _case("rank --q 1"),
     # -0 reads as 0.0, in the echoed q and in every grid point.
-    "minus-zero/rank": _case("rank --q -0"),
-    "minus-zero/rank-json": _case("rank --q -0 --format json"),
-    "minus-zero/sweep-point": _case("sweep --grid=-0,1"),
-    "minus-zero/sweep-range": _case("sweep --grid=-0:1:0.5 --format json"),
+    "rank-minus-zero/csv": _case("rank --q -0"),
+    "rank-minus-zero/json": _case("rank --q -0 --format json"),
+    "sweep-minus-zero/-0,1": _case("sweep --grid=-0,1"),
+    "sweep-minus-zero/-0:1:0.5": _case("sweep --grid=-0:1:0.5 --format json"),
     "sweep-karate": _case("sweep", _KARATE),
     "sweep-karate-q0-q1": _case("sweep --grid 0,1", _KARATE),
     "sweep-single-edge": _case("sweep --grid 0,1,2", b"a b\n"),
     # The JSON config echoes no --jobs.
     **{
-        f"sweep-json-jobs/{jobs}": _case(f"sweep --grid 0,1 --format json --jobs {jobs}", _KARATE)
+        f"sweep-json-jobs-{jobs}": _case(f"sweep --grid 0,1 --format json --jobs {jobs}", _KARATE)
         for jobs in (1, 2)
     },
     "threshold-k5": _case("threshold", _K5),
@@ -490,9 +493,9 @@ CASES = {
     "states-off-grid/exact": _case("states --grid 2,3", _KARATE),
     "states-off-grid/relaxed": _case("states --grid 2,3 --relaxed-tau 0.05", _KARATE),
     # On this grid exact detection finds no stable suffix; T = 0.05 does.
-    "states-to-8/exact": _case("states --grid 0:8:0.5", _KARATE),
-    "states-to-8/relaxed": _case("states --grid 0:8:0.5 --relaxed-tau 0.05", _KARATE),
-    "states-to-8/relaxed-json": _case(
+    "states-to-8-exact": _case("states --grid 0:8:0.5", _KARATE),
+    "states-to-8-relaxed": _case("states --grid 0:8:0.5 --relaxed-tau 0.05", _KARATE),
+    "states-to-8-relaxed-json": _case(
         "states --grid 0:8:0.5 --relaxed-tau 0.05 --format json", _KARATE
     ),
     # A leading UTF-8 byte-order mark is not part of the first label.

@@ -65,8 +65,7 @@ def _written(row, tmp_path):
     return [arg.replace("{dir}", str(tmp_path)) for arg in row.argv]
 
 
-@pytest.mark.parametrize("key", reference.REFUSALS)
-def test_lse_refuses(capsys, tmp_path, key):
+def _refused(capsys, tmp_path, key):
     """``lse`` refuses row ``key`` of ``reference.REFUSALS`` as the row says,
     writing nothing but its one error line."""
     refusal = reference.REFUSALS[key]
@@ -84,11 +83,112 @@ def test_lse_refuses(capsys, tmp_path, key):
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(refusal.files)
 
 
-@pytest.mark.parametrize("key", reference.CASES)
+_FAMILIES = []
+
+
+def _family(table, family):
+    """Parametrize a test over the rows ``family/case`` of
+    ``reference.table``, each with ``case`` as its test id."""
+    _FAMILIES.append((table, family))
+    keys = [key for key in getattr(reference, table) if key.startswith(f"{family}/")]
+    return pytest.mark.parametrize("key", keys, ids=[key.split("/", 1)[1] for key in keys])
+
+
+@pytest.mark.parametrize("key", [key for key in reference.REFUSALS if "/" not in key])
+def test_lse_refuses(capsys, tmp_path, key):
+    """The rows of ``reference.REFUSALS`` in no family."""
+    _refused(capsys, tmp_path, key)
+
+
+@pytest.mark.parametrize("key", [key for key in reference.CASES if "/" not in key])
 def test_lse_writes_the_model_bytes(capsys, tmp_path, jobs_as_requested, key):
     """``lse`` writes the model's bytes for row ``key`` of
     ``reference.CASES``; ``--jobs N`` runs N processes on any host."""
     _writes_the_model_bytes(capsys, *_written(reference.CASES[key], tmp_path))
+
+
+@_family("REFUSALS", "grid-with-minus")
+def test_grid_spec_starting_with_minus_is_written_with_equals(capsys, tmp_path, key):
+    _refused(capsys, tmp_path, key)
+
+
+@_family("REFUSALS", "grid-step")
+def test_bad_grid_reported_before_input_is_read(capsys, tmp_path, key):
+    _refused(capsys, tmp_path, key)
+
+
+@_family("REFUSALS", "oversized-grid")
+def test_oversized_grid_reported_before_input_is_read(capsys, tmp_path, key):
+    _refused(capsys, tmp_path, key)
+
+
+@_family("REFUSALS", "short-grid")
+def test_command_grid_rule_reported_before_input_is_read(capsys, tmp_path, key):
+    _refused(capsys, tmp_path, key)
+
+
+@_family("REFUSALS", "not-utf8")
+def test_input_that_is_not_utf8_is_one_error_line_naming_it(capsys, tmp_path, key):
+    _refused(capsys, tmp_path, key)
+
+
+@_family("REFUSALS", "rank-column")
+def test_compare_refuses_a_rank_column_other_than_1_to_n(capsys, tmp_path, key):
+    _refused(capsys, tmp_path, key)
+
+
+@_family("REFUSALS", "rank-row")
+def test_compare_refuses_a_malformed_ranking_row(capsys, tmp_path, key):
+    _refused(capsys, tmp_path, key)
+
+
+@_family("REFUSALS", "states-row")
+def test_compare_refuses_a_malformed_states_row(capsys, tmp_path, key):
+    _refused(capsys, tmp_path, key)
+
+
+@_family("REFUSALS", "state-twice")
+def test_compare_refuses_a_state_named_twice(capsys, tmp_path, key):
+    _refused(capsys, tmp_path, key)
+
+
+@_family("REFUSALS", "empty-ranking")
+def test_compare_rejects_empty_rankings(capsys, tmp_path, key):
+    _refused(capsys, tmp_path, key)
+
+
+@_family("REFUSALS", "duplicate-label")
+def test_compare_duplicate_label_is_one_error_line_naming_file_and_label(capsys, tmp_path, key):
+    _refused(capsys, tmp_path, key)
+
+
+@_family("CASES", "rank-minus-zero")
+def test_rank_writes_minus_zero_q_as_zero(capsys, tmp_path, key):
+    _writes_the_model_bytes(capsys, *_written(reference.CASES[key], tmp_path))
+
+
+@_family("CASES", "sweep-minus-zero")
+def test_sweep_writes_minus_zero_as_zero(capsys, tmp_path, key):
+    _writes_the_model_bytes(capsys, *_written(reference.CASES[key], tmp_path))
+
+
+@_family("CASES", "states-off-grid")
+def test_states_scores_zero_and_one_off_the_grid(capsys, tmp_path, key):
+    _writes_the_model_bytes(capsys, *_written(reference.CASES[key], tmp_path))
+
+
+@_family("CASES", "byte-order-mark")
+def test_edge_list_with_a_byte_order_mark_reads_as_without(capsys, tmp_path, key):
+    _writes_the_model_bytes(capsys, *_written(reference.CASES[key], tmp_path))
+
+
+def test_each_table_row_runs_under_one_test():
+    """A row ``family/case`` runs under its family's test and no other; a
+    row with no slash runs under its table's runner."""
+    for table in ("REFUSALS", "CASES"):
+        families = {key.split("/")[0] for key in getattr(reference, table) if "/" in key}
+        tested = [family for name, family in _FAMILIES if name == table]
+        assert sorted(tested) == sorted(families), table
 
 
 @pytest.fixture(scope="session")

@@ -42,6 +42,12 @@ def test_tsallis_q0_counts_support_minus_one():
         assert tsallis_entropy(probs, 0.0) == n - 1
 
 
+def test_shannon_branch_matches_direct_formula():
+    probs = (0.5, 0.3, 0.2)
+    direct = -sum(p * math.log(p) for p in probs)
+    assert tsallis_entropy(probs, 1.0) == pytest.approx(direct, abs=1e-15)
+
+
 @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 2.0])
 def test_tsallis_of_a_one_point_distribution_is_positive_zero(q):
     # The Shannon branch negates 0.0, and q < 1 divides 0.0 by q - 1 < 0.

@@ -72,6 +72,12 @@ def test_constructor_refuses_the_ingestion_counters(counter):
     assert getattr(graph, counter) == 0
 
 
+def test_self_loops_excluded_from_equality():
+    without = load_edge_list("a b\n")
+    with_loop = load_edge_list("a a\na b\n")
+    assert without == with_loop
+
+
 def test_parse_error_carries_line_number(tmp_path):
     # The second text's bad line follows a comment, a blank line and a
     # self-loop; the parse streams, so a stream source must count alike.
@@ -96,6 +102,11 @@ def test_parse_error_carries_line_number(tmp_path):
                     load_edge_list(source)
                 assert excinfo.value.line_number == line_number, repr(text)
                 assert f"line {line_number}: expected 2 labels" in str(excinfo.value)
+
+
+def test_single_token_line_rejected():
+    with pytest.raises(EdgeListParseError):
+        load_edge_list("lonely\n")
 
 
 def test_empty_input_rejected():

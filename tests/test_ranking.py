@@ -111,6 +111,11 @@ def test_score_table_stores_labels_as_a_tuple():
     assert ScoreTable(q=1.0, labels=labels, scores=(1.0, 2.0)).labels is labels
 
 
+def test_ranking_rejects_duplicates():
+    with pytest.raises(ValueError):
+        Ranking(("a", "a"))
+
+
 def test_duplicate_error_names_the_first_repeated_label():
     with pytest.raises(ValueError, match="duplicate labels.*'b'"):
         Ranking(("a", "b", "c", "b", "a"))
@@ -164,6 +169,11 @@ def test_results_keep_id_orders_over_the_graph_labels(karate, monkeypatch, tmp_p
         for form in ("csv", "json"):
             argv = [*command.split(), "--input", str(karate_edges_path()), "--format", form]
             assert main([*argv, "--output", str(tmp_path / "out")]) == 0
+
+
+def test_score_all_matches_pointwise(karate):
+    table = score_all(karate, 0.0)
+    assert table.scores == array("d", karate.degrees)
 
 
 def test_sweep_rejects_bad_grids(karate):
