@@ -5,9 +5,11 @@ reads an edge-list file by README's input rules, builds the graph with
 ``load_edge_list`` and scores each node with the per-node
 ``local_structure_entropy``; it restates everything else by its
 definition, with none of the implementation's shortcuts: one ``sorted``
-per q, a full sweep of the grid, detection and refine from pairwise
-counts, Kendall tau from an O(n^2) count, and ``csv.writer`` and one
-``json.dumps`` over whole rows. ``REFUSALS`` holds every input ``lse``
+per q, a full sweep of the grid, detection and refine from all-pairs
+discordant counts, each a Fenwick-tree count rather than an O(n^2) pair
+loop, and ``csv.writer`` and one ``json.dumps`` over whole rows. The
+library tests check the discordant count, Kendall tau and relaxed
+detection against these same functions. ``REFUSALS`` holds every input ``lse``
 refuses, with its exit status and the one ``error:`` line it writes;
 ``CASES`` holds fixed inputs whose bytes ``lse`` must write as the model
 does.
@@ -83,10 +85,31 @@ def ranking(graph, q):
 
 
 def discordant(a, b):
-    """Label pairs that rankings ``a`` and ``b`` order oppositely, counted
-    pair by pair."""
+    """Label pairs that rankings ``a`` and ``b`` order oppositely, one
+    Fenwick-tree query per label of ``a``: how many labels before it in
+    ``a`` come after it in ``b``."""
     place = {label: i for i, label in enumerate(b)}
-    return sum(place[x] > place[y] for i, x in enumerate(a) for y in a[i + 1 :])
+    tree = [0] * (len(a) + 1)
+    count = 0
+    for seen, label in enumerate(a):
+        i = place[label] + 1
+        while i:  # earlier labels at or before it in b
+            count -= tree[i]
+            i -= i & -i
+        count += seen
+        i = place[label] + 1
+        while i < len(tree):
+            tree[i] += 1
+            i += i & -i
+    return count
+
+
+def kendall_tau(a, b):
+    """Kendall tau of rankings ``a`` and ``b`` by tau-b's float expression,
+    clamped to [-1, 1]; identical rankings read just below 1 at some n."""
+    total = len(a) * (len(a) - 1) // 2
+    tau = (total - 2 * discordant(a, b)) / math.sqrt(total) / math.sqrt(total)
+    return min(1.0, max(-1.0, tau))
 
 
 def limit(n, relaxed_tau):
@@ -98,10 +121,9 @@ def limit(n, relaxed_tau):
     return math.floor(Fraction(repr(relaxed_tau)) * n * (n - 1) / 4)
 
 
-def detect(graph, grid, relaxed_tau):
+def detect(grid, rankings, relaxed_tau):
     """(p_value, stable ranking, suffix length): the longest suffix of the
-    grid's rankings whose every pair is within the limit."""
-    rankings = [ranking(graph, q) for q in grid]
+    rankings at the ``grid`` points whose every pair is within the limit."""
     most = limit(len(rankings[-1]), relaxed_tau)
     start = len(grid) - 1
     while start > 0 and all(
@@ -132,8 +154,8 @@ def refine(graph, grid, relaxed_tau, p_value, stable):
 
 
 def states_orders(path, grid_spec, relaxed_tau):
-    graph = load(path)
-    _, stable, _ = detect(graph, grid_points(grid_spec), relaxed_tau)
+    graph, grid = load(path), grid_points(grid_spec)
+    _, stable, _ = detect(grid, [ranking(graph, q) for q in grid], relaxed_tau)
     return {"q0": ranking(graph, 0.0), "q1": ranking(graph, 1.0), "stable": stable}
 
 
@@ -184,7 +206,7 @@ def sweep(path, grid_spec, fmt):
 
 def threshold(path, grid_spec, relaxed_tau, do_refine, fmt):
     graph, grid = load(path), grid_points(grid_spec)
-    p_value, stable, suffix_length = detect(graph, grid, relaxed_tau)
+    p_value, stable, suffix_length = detect(grid, [ranking(graph, q) for q in grid], relaxed_tau)
     top10 = stable[:10] if stable else None
     fields = {"p_value": p_value, "suffix_length": suffix_length, "stable_top10": top10}
     rows = [("p_value", "null" if p_value is None else p_value)]
@@ -212,12 +234,9 @@ def states(path, grid_spec, relaxed_tau, fmt):
 def compare(a, b, config):
     """``lse compare`` of rankings ``a`` and ``b``, the label lists its two
     files hold; ``config`` echoes its arguments in the CLI's order."""
-    n = len(a)
-    total = n * (n - 1) // 2
-    tau = (total - 2 * discordant(a, b)) / math.sqrt(total) / math.sqrt(total)
-    fields = {"kendall_tau": min(1.0, max(-1.0, tau))}
+    fields = {"kendall_tau": kendall_tau(a, b)}
     for k in (5, 10):
-        top = min(k, n)
+        top = min(k, len(a))
         fields[f"top{k}_overlap"] = len(set(a[:top]) & set(b[:top])) / top
     return _emit("compare", config, tuple(fields), [fields.values()], fields)
 

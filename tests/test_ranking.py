@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import lsentropy
+import reference
 from lsentropy import ranking as ranking_module
 from lsentropy import (
     DEFAULT_GRID_SPEC,
@@ -42,18 +43,15 @@ from lsentropy.ranking import (
 
 
 def _fake_sweep(grid, orders, shared=True):
-    """A sweep ranking ``orders``; with ``shared``, every ranking orders one
-    labels tuple, as ``sweep``'s do, and otherwise each its own."""
+    """A sweep ranking ``orders``, with no score tables, as ``lse`` detects
+    over; with ``shared``, every ranking orders one labels tuple, as
+    ``sweep``'s do, and otherwise each its own."""
     labels = tuple(sorted({lab for order in orders for lab in order}))
-    tables = tuple(
-        ScoreTable(q=float(q), labels=labels, scores=(0.0,) * len(labels))
-        for q in grid
-    )
     rankings = tuple(Ranking(tuple(order)) for order in orders)
     if shared:
         rankings = tuple(ranking.over(labels) for ranking in rankings)
     return SweepResult(
-        grid=tuple(float(q) for q in grid), score_tables=tables, rankings=rankings
+        grid=tuple(float(q) for q in grid), score_tables=(), rankings=rankings
     )
 
 
@@ -331,30 +329,6 @@ def _exact_tau(n, discordant):
     return Fraction(total - 2 * discordant, total)
 
 
-def _relaxed_all_pairs(result, relaxed_tau):
-    """The relaxed rule with every suffix pair identical or reaching exact
-    tau 1 - relaxed_tau, its count taken by a Fenwick tree."""
-    floor = 1 - Fraction(repr(relaxed_tau))
-    rankings = result.rankings
-    orders = [ranking.over(rankings[-1].labels).order for ranking in rankings]
-
-    def agree(a, b):
-        place = {label: i for i, label in enumerate(b)}
-        count = _fenwick_discordant([place[label] for label in a])
-        return _exact_tau(len(a), count) >= floor
-
-    start = len(rankings) - 1
-    while start > 0 and all(
-        orders[start - 1] == later or agree(orders[start - 1], later)
-        for later in orders[start:]
-    ):
-        start -= 1
-    suffix_length = len(rankings) - start
-    if suffix_length >= 2:
-        return ThresholdReport(result.grid[start], rankings[-1], suffix_length)
-    return ThresholdReport(None, None, suffix_length)
-
-
 def _drifting_orders(rng, n, length):
     """Up to three adjacent swaps between grid points, none most often, and
     now and then a reshuffled run."""
@@ -387,7 +361,9 @@ def test_relaxed_detection_equals_all_pairs_rule(relaxed_tau):
             for shared in (True, False):
                 result = _fake_sweep(range(len(orders)), orders, shared)
                 report = detect_threshold(result, relaxed_tau=relaxed_tau)
-                assert report == _relaxed_all_pairs(result, relaxed_tau), (n, orders)
+                p_value, stable, length = reference.detect(result.grid, orders, relaxed_tau)
+                expected = ThresholdReport(p_value, stable and Ranking(stable), length)
+                assert report == expected, (n, orders)
             suffix_lengths.add(report.suffix_length)
     assert len(suffix_lengths) >= 6
 
@@ -404,24 +380,6 @@ def _with_inversions(n, discordant):
     return order
 
 
-def _fenwick_discordant(order):
-    """Inversions of a permutation of range(n), one Fenwick-tree query per
-    entry: how many earlier entries exceed it."""
-    tree = [0] * (len(order) + 1)
-    discordant = 0
-    for seen, x in enumerate(order):
-        i = x + 1
-        while i:  # earlier entries <= x
-            discordant -= tree[i]
-            i -= i & -i
-        discordant += seen
-        i = x + 1
-        while i < len(tree):
-            tree[i] += 1
-            i += i & -i
-    return discordant
-
-
 def test_discordant_pairs_across_blocks():
     # Five runs: the odd one carries past the first two merge levels.
     n = 4 * _BLOCK + 17
@@ -436,10 +394,10 @@ def test_discordant_pairs_across_blocks():
     shuffled = list(range(n))
     rng.shuffle(shuffled)
     for order in (near, shuffled, shuffled[::-1]):
-        assert _discordant_pairs(order) == _fenwick_discordant(order)
+        assert _discordant_pairs(order) == reference.discordant(order, range(n))
     for discordant in (0, 1, total // 3, total - 1, total):
         assert _discordant_pairs(_with_inversions(n, discordant)) == discordant
-    assert _fenwick_discordant(_with_inversions(n, total // 3)) == total // 3
+    assert reference.discordant(_with_inversions(n, total // 3), range(n)) == total // 3
 
 
 @pytest.mark.parametrize("relaxed_tau", (0.05, 0.03, 0.01, 0.005, 1e-3, 1e-17))
@@ -637,21 +595,6 @@ def test_extending_grid_never_lowers_p_value(karate):
     assert p_ext >= p_base
 
 
-def _tau_oracle(a, b):
-    """Pair enumeration put through tau-b's float expression, clamped."""
-    pos_a = {lab: i for i, lab in enumerate(a)}
-    pos_b = {lab: i for i, lab in enumerate(b)}
-    concordant = discordant = 0
-    for x, y in itertools.combinations(list(pos_a), 2):
-        sign = (pos_a[x] - pos_a[y]) * (pos_b[x] - pos_b[y])
-        if sign > 0:
-            concordant += 1
-        else:
-            discordant += 1
-    root = math.sqrt(concordant + discordant)
-    return min(1.0, max(-1.0, (concordant - discordant) / root / root))
-
-
 def test_compare_random_permutations_match_pair_enumeration():
     rng = random.Random(3)
     identity_taus = []
@@ -662,7 +605,7 @@ def test_compare_random_permutations_match_pair_enumeration():
         rng.shuffle(b)
         for other in (a[:], a[::-1], b):
             got = compare_rankings(Ranking(tuple(a)), Ranking(tuple(other))).kendall_tau
-            assert got == _tau_oracle(a, other), (n, other)
+            assert got == reference.kendall_tau(a, other), (n, other)
             if other == a:
                 identity_taus.append(got)
     # Identical rankings read just below 1 at some n (5, 6, 10, ...), and
