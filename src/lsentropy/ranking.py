@@ -152,8 +152,6 @@ class Ranking:
     def __eq__(self, other):
         if not isinstance(other, Ranking):
             return NotImplemented
-        if self.labels is other.labels or self.labels == other.labels:
-            return self.order == other.order
         return self.ordered_labels == other.ordered_labels
 
     def __hash__(self):

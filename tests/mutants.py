@@ -190,6 +190,20 @@ MUTANTS = [
     _m("children-left-unreaped", "_workers.py",
        "for pid in pids:\n            os.waitpid(pid, 0)",
        "for pid in ():\n            os.waitpid(pid, 0)"),
+    # Speed paths, and rules whose deletion once failed no test.
+    _m("over-reindexes-its-own-labels", "ranking.py",
+       "if self.labels is labels or self.labels == labels:\n            return self\n        ",
+       ""),
+    _m("sweep-forks-before-ego-shares", "ranking.py",
+       "    graph._ego_shares  # built here, before the fork, for the workers to inherit\n", ""),
+    _m("sweep-forks-before-label-order", "ranking.py", "    _label_order(labels)\n", ""),
+    _m("scores-skip-the-q-check", "entropy.py",
+       "    q = _checked_entropic_index(q)\n    if q == 0.0:", "    if q == 0.0:"),
+    _m("empty-vector-check-deleted", "entropy.py",
+       '    if not p:\n        raise ValueError("probability vector is empty")\n', ""),
+    _m("field-size-limit-left-raised", "cli.py",
+       "    finally:\n        csv.field_size_limit(limit)", "    finally:\n        pass"),
+    _m("no-affinity-call-one-cpu", "cli.py", "cpus = os.cpu_count() or 1", "cpus = 1"),
 ]
 
 # Differential and golden tests kill most mutants, so they run first.

@@ -9,10 +9,10 @@ per q, a full sweep of the grid, detection and refine from all-pairs
 discordant counts, each a Fenwick-tree count rather than an O(n^2) pair
 loop, and ``csv.writer`` and one ``json.dumps`` over whole rows. The
 library tests check the discordant count, Kendall tau and relaxed
-detection against these same functions. ``REFUSALS`` holds every input ``lse``
-refuses, with its exit status and the one ``error:`` line it writes;
-``CASES`` holds fixed inputs whose bytes ``lse`` must write as the model
-does.
+detection against these same functions. ``REFUSALS`` holds every input
+``lse`` refuses, with its exit status and the one ``error:`` line it
+writes; ``CASES`` holds fixed inputs whose bytes ``lse`` must write as
+the model does.
 """
 import csv
 import io

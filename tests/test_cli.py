@@ -395,7 +395,7 @@ def test_compare_reads_a_states_csv_with_a_byte_order_mark(capsys, karate_path, 
 
 def test_compare_reads_a_states_file_of_any_size(capsys, tmp_path):
     """A states cell holds every label, past the csv module's default
-    field limit here (700 labels of 200 digits); the limit is restored."""
+    field limit here (700 labels of 200 digits); that limit is restored."""
     edges = tmp_path / "long.edges"
     edges.write_text(
         "".join(f"{i:0200d} {(i + 1) % 700:0200d}\n" for i in range(700))
@@ -404,11 +404,14 @@ def test_compare_reads_a_states_file_of_any_size(capsys, tmp_path):
     argv = ["states", "--input", str(edges), "--grid", "0,1,2", "--output", str(states)]
     assert main(argv) == 0
     assert states.stat().st_size > 3 * 131072
-    limit = csv.field_size_limit()
-    code, out, err = _run(
-        capsys, "compare", str(states), str(states), "--state-b", "stable"
-    )
-    assert csv.field_size_limit() == limit
+    original = csv.field_size_limit(131072)  # the default
+    try:
+        code, out, err = _run(
+            capsys, "compare", str(states), str(states), "--state-b", "stable"
+        )
+        assert csv.field_size_limit() == 131072
+    finally:
+        csv.field_size_limit(original)
     assert (code, err) == (0, "")
     rows = _rows(out)
     assert rows[0] == ["kendall_tau", "top5_overlap", "top10_overlap"]
@@ -589,11 +592,15 @@ def test_self_loops_warn_but_do_not_fail(capsys, tmp_path):
     assert {row[1] for row in rows} == {"1"}
 
 
-def test_jobs_default_to_and_cap_at_usable_cpus():
+def test_jobs_default_to_and_cap_at_usable_cpus(monkeypatch):
     cpus = len(os.sched_getaffinity(0))
     assert cli._job_count(None) == cpus
     assert cli._job_count(1_000_000) == cpus
     assert cli._job_count(1) == 1
+    # Where the platform has no affinity call, the CPU count stands in.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus + 1)
+    assert cli._job_count(None) == cli._job_count(1_000_000) == cpus + 1
 
 
 def test_failed_worker_exits_1_without_traceback(

@@ -62,7 +62,7 @@ def test_tsallis_continuous_at_shannon_crossover():
 
 
 def test_tsallis_rejects_bad_distributions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="probability vector is empty"):
         tsallis_entropy((), 1.0)
     with pytest.raises(ValueError):
         tsallis_entropy((0.5, 0.0, 0.5), 1.0)
@@ -75,13 +75,13 @@ def test_tsallis_rejects_bad_distributions():
         tsallis_entropy((0.5, 0.4), 1.0)
 
 
-def test_tsallis_rejects_bad_index():
-    with pytest.raises(ValueError):
-        tsallis_entropy((0.5, 0.5), -0.1)
-    with pytest.raises(ValueError):
-        tsallis_entropy((0.5, 0.5), math.inf)
-    with pytest.raises(ValueError):
-        tsallis_entropy((0.5, 0.5), math.nan)
+def test_tsallis_rejects_bad_index(karate):
+    for q in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            tsallis_entropy((0.5, 0.5), q)
+        # score_all checks q itself: it reads the graph's shares directly.
+        with pytest.raises(ValueError, match="entropic index must be finite and >= 0"):
+            score_all(karate, q)
 
 
 def test_degree_shares_sum_to_one(karate):

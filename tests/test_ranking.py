@@ -138,6 +138,15 @@ def test_rankings_equal_however_built(karate):
             Ranking(("a", "b")).over(labels)
 
 
+def test_over_its_own_label_set_is_the_ranking_itself(karate):
+    """Detection reads every ranking over the stable one's labels; one that
+    already ranks that tuple, or an equal one, comes back as it is, with
+    no label index built for it."""
+    ranked = rank(score_all(karate, 0.0))
+    assert ranked.over(karate.labels) is ranked
+    assert ranked.over(tuple(list(karate.labels))) is ranked
+
+
 def test_results_keep_id_orders_over_the_graph_labels(karate, monkeypatch, tmp_path):
     """No ranking or table of sweep (any jobs), rank, detection, refine or
     the table and record emitters goes through a label round trip: each
@@ -201,6 +210,23 @@ def test_sweep_parallel_equals_serial(karate):
         assert serial == SweepResult(grid, tables, tuple(map(rank, tables)))
         for jobs in (2, 3, len(grid) + 5):
             assert sweep(graph, grid, jobs=jobs) == serial
+
+
+def test_sweep_builds_shares_and_label_order_before_forking(monkeypatch):
+    """The graph's ego shares and its label order exist before the
+    workers fork, so that each inherits them rather than building them."""
+    graph = load_edge_list("a b\nb c\nc d\n")
+    ranking_module._label_order.cache_clear()
+    forked, real = [], ranking_module.forked_map
+
+    def forking(fn, items, jobs):
+        built = "_ego_shares" in graph.__dict__
+        forked.append((built, ranking_module._label_order.cache_info().currsize))
+        return real(fn, items, jobs)
+
+    monkeypatch.setattr(ranking_module, "forked_map", forking)
+    sweep(graph, (0.5, 1.0), jobs=2)
+    assert forked == [(True, 1)]
 
 
 def test_sweep_of_graphs_with_fewer_than_two_nodes():
