@@ -3,21 +3,19 @@
 A forked worker shares this process's memory copy-on-write, so it reads
 what was built before the fork (a graph's ego shares, a finished sweep)
 without rebuilding or receiving it. Each result comes back over a pipe
-as raw bytes with a length prefix; nothing is pickled.
+in ``marshal``'s format, not pickled; ``marshal`` is trusted here only
+because both ends of every pipe are one process tree.
 """
 from __future__ import annotations
 
+import marshal
 import os
-from typing import BinaryIO, Callable, Iterator, NoReturn, Sequence, TypeVar
+from typing import Any, BinaryIO, Callable, Iterator, NoReturn, Sequence, TypeVar
 
 T = TypeVar("T")
 
-# Bytes of the signed length prefix; a negative length marks an error
-# message from the worker in place of a result.
-_PREFIX = 8
 
-
-def forked_map(fn: Callable[[T], bytes], items: Sequence[T], jobs: int) -> Iterator[bytes]:
+def forked_map(fn: Callable[[T], Any], items: Sequence[T], jobs: int) -> Iterator[Any]:
     """Yield ``fn(item)`` for each item, in item order.
 
     Item k runs in worker ``k % w``, where ``w = min(jobs, len(items))``
@@ -29,14 +27,19 @@ def forked_map(fn: Callable[[T], bytes], items: Sequence[T], jobs: int) -> Itera
     the caller, runs no exit handlers and flushes none of the buffers it
     inherited.
 
+    A child's result goes through ``marshal``: a bytes-like value, also
+    inside a tuple, arrives as ``bytes`` of at most 2 GiB, and a ``str``
+    is the child's error message, so ``fn`` returns no ``str``.
+
     Forking is unsafe in a process that runs threads; callers fork only
     when asked to.
 
     Raises:
-        ChildProcessError: a child's ``fn`` raised (the message carries
-            its exception) or the child ended before sending a result.
-            Every child is reaped before this generator finishes, also
-            when the caller stops early.
+        ChildProcessError: a child's ``fn`` raised, or ``marshal`` could
+            not write its result (the message carries the exception), or
+            the child ended before sending a result. Every child is
+            reaped before this generator finishes, also when the caller
+            stops early.
     """
     workers = min(jobs, len(items)) if hasattr(os, "fork") else 1
     readers = []
@@ -64,44 +67,32 @@ def forked_map(fn: Callable[[T], bytes], items: Sequence[T], jobs: int) -> Itera
 
 
 def _serve(
-    fn: Callable[[T], bytes], items: Sequence[T], fd: int, inherited: list[BinaryIO]
+    fn: Callable[[T], Any], items: Sequence[T], fd: int, inherited: list[BinaryIO]
 ) -> NoReturn:
-    """In a forked child: close the ``inherited`` pipe readers, send
+    """In a forked child: close the ``inherited`` pipe readers, write
     ``fn(item)`` for each item to ``fd``, or the first exception's message
-    in place of its result, then end the process."""
-    status = 1
+    as a ``str`` in place of its result, then end the process."""
     try:
         for reader in inherited:
             reader.close()
         with open(fd, "wb") as out:
             for item in items:
                 try:
-                    data = fn(item)
+                    marshal.dump(fn(item), out)
                 except Exception as exc:
-                    message = f"{type(exc).__name__}: {exc}".encode(errors="backslashreplace")
-                    out.write(_prefix(-len(message)))
-                    out.write(message)
+                    marshal.dump(f"{type(exc).__name__}: {exc}", out)
                     return
-                out.write(_prefix(len(data)))
-                out.write(data)
                 out.flush()
-        status = 0
     finally:
-        os._exit(status)
+        os._exit(0)
 
 
-def _prefix(size: int) -> bytes:
-    return size.to_bytes(_PREFIX, "little", signed=True)
-
-
-def _receive(reader: BinaryIO, worker: int, k: int) -> bytes:
+def _receive(reader: BinaryIO, worker: int, k: int) -> Any:
     """Item k's result from ``worker``'s pipe."""
-    prefix = reader.read(_PREFIX)
-    size = int.from_bytes(prefix, "little", signed=True)
-    data = reader.read(abs(size))
-    if len(prefix) < _PREFIX or len(data) < abs(size):
-        raise ChildProcessError(f"worker {worker} ended before sending item {k}")
-    if size < 0:
-        message = data.decode()
-        raise ChildProcessError(f"worker {worker} failed on item {k}: {message}")
-    return data
+    try:
+        result = marshal.load(reader)
+    except EOFError:
+        raise ChildProcessError(f"worker {worker} ended before sending item {k}") from None
+    if isinstance(result, str):
+        raise ChildProcessError(f"worker {worker} failed on item {k}: {result}")
+    return result

@@ -233,12 +233,12 @@ def sweep(graph: Graph, grid, jobs: int = 1) -> SweepResult:
     ``jobs`` > 1 splits the grid points over up to that many processes:
     this one, and workers forked from it once the graph's ego shares are
     built, so that each inherits them rather than rebuilding them. Each
-    point comes back as the bytes of its scores and of its ranking's
-    order, which this process wraps in arrays again, so the result is the
-    same for every ``jobs``, and every table and ranking holds
-    ``graph.labels`` itself. The default, 1, forks nothing: forking is
-    unsafe in a process that runs threads, so ask for more only where the
-    caller runs none.
+    point's scores and ranking order come back as arrays from this
+    process, or as their bytes from a worker, and this process copies
+    either into fresh arrays, so the result is the same for every
+    ``jobs``, and every table and ranking holds ``graph.labels`` itself.
+    The default, 1, forks nothing: forking is unsafe in a process that
+    runs threads, so ask for more only where the caller runs none.
 
     Raises:
         ValueError: a bad grid, or ``jobs`` < 1.
@@ -251,19 +251,14 @@ def sweep(graph: Graph, grid, jobs: int = 1) -> SweepResult:
     graph._ego_shares  # built here, before the fork, for the workers to inherit
     _label_order(labels)
 
-    def point(q: float) -> bytes:
+    def point(q: float) -> tuple[array, array]:
         table = score_all(graph, q)
-        return b"".join([table.scores, rank(table).order])
+        return table.scores, rank(table).order
 
     tables, rankings = [], []
-    split = array("d").itemsize * len(labels)  # bytes of the scores
-    for q, data in zip(grid, forked_map(point, grid, jobs)):
-        view = memoryview(data)
-        scores, order = array("d"), array("q")
-        scores.frombytes(view[:split])
-        order.frombytes(view[split:])
-        tables.append(ScoreTable(q=q, labels=labels, scores=scores))
-        rankings.append(Ranking._of(labels, order))
+    for q, (scores, order) in zip(grid, forked_map(point, grid, jobs)):
+        tables.append(ScoreTable(q=q, labels=labels, scores=array("d", scores)))
+        rankings.append(Ranking._of(labels, array("q", order)))
     return SweepResult(grid=grid, score_tables=tuple(tables), rankings=tuple(rankings))
 
 

@@ -182,11 +182,11 @@ MUTANTS = [
     _m("item-to-next-worker", "_workers.py", "w = k % workers", "w = (k + 1) % workers"),
     _m("worker-one-runs-here", "_workers.py",
        "yield fn(item) if w == 0 else", "yield fn(item) if w == 1 else"),
-    _m("length-prefix-read-unsigned", "_workers.py",
-       'int.from_bytes(prefix, "little", signed=True)',
-       'int.from_bytes(prefix, "little", signed=False)'),
-    _m("error-sent-as-a-result", "_workers.py",
-       "_prefix(-len(message))", "_prefix(len(message))"),
+    _m("error-str-read-as-a-result", "_workers.py",
+       "if isinstance(result, str):", "if isinstance(result, BaseException):"),
+    _m("early-end-read-as-empty", "_workers.py",
+       'raise ChildProcessError(f"worker {worker} ended before sending item {k}") from None',
+       'return b""'),
     _m("children-left-unreaped", "_workers.py",
        "for pid in pids:\n            os.waitpid(pid, 0)",
        "for pid in ():\n            os.waitpid(pid, 0)"),

@@ -106,7 +106,10 @@ def discordant(a, b):
 
 def kendall_tau(a, b):
     """Kendall tau of rankings ``a`` and ``b`` by tau-b's float expression,
-    clamped to [-1, 1]; identical rankings read just below 1 at some n."""
+    clamped to [-1, 1]; identical rankings read just below 1 at some n,
+    and rankings of fewer than two labels read 1.0."""
+    if len(a) < 2:
+        return 1.0
     total = len(a) * (len(a) - 1) // 2
     tau = (total - 2 * discordant(a, b)) / math.sqrt(total) / math.sqrt(total)
     return min(1.0, max(-1.0, tau))

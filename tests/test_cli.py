@@ -355,11 +355,18 @@ def test_states_scores_what_threshold_scores_plus_two(capsys, monkeypatch, karat
 
 def test_compare_reversed_rank_files(capsys, tmp_path):
     paths = [str(tmp_path / "forward.csv"), str(tmp_path / "backward.csv")]
-    for path, labels in zip(paths, (range(1, 8), range(7, 0, -1))):
-        rows = "".join(f"{label},1,0.500000,{r}\n" for r, label in enumerate(labels, 1))
-        Path(path).write_text("label,degree,entropy,rank\n" + rows)
-    code, out, _ = _run(capsys, "compare", *paths)
-    assert (code, _rows(out)[1]) == (0, ["-1.0", "0.6", "1.0"])
+    # Two one-row files of one label read tau 1.0, as the model does.
+    for a, b, fields in (
+        (range(1, 8), range(7, 0, -1), ["-1.0", "0.6", "1.0"]),
+        ((1,), (1,), ["1.0", "1.0", "1.0"]),
+    ):
+        for path, labels in zip(paths, (a, b)):
+            rows = "".join(f"{label},1,0.500000,{r}\n" for r, label in enumerate(labels, 1))
+            Path(path).write_text("label,degree,entropy,rank\n" + rows)
+        code, out, _ = _run(capsys, "compare", *paths)
+        assert (code, _rows(out)[1]) == (0, fields)
+        model = reference.compare(list(map(str, a)), list(map(str, b)), {"format": "csv"})
+        assert out.encode() == model
 
 
 def test_compare_reads_a_rank_csv_with_a_byte_order_mark(capsys, karate_path, tmp_path):

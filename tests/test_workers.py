@@ -1,5 +1,6 @@
 """The ordered map over forked worker processes."""
 import os
+from array import array
 
 import pytest
 
@@ -33,6 +34,38 @@ def test_results_arrive_in_item_order_from_each_worker():
 def test_empty_results_and_no_items():
     assert list(forked_map(lambda k: b"", range(5), 3)) == [b""] * 5
     assert list(forked_map(lambda k: b"x", (), 3)) == []
+    _no_child_left()
+
+
+def test_child_results_and_errors_pass_through_marshal():
+    parent = os.getpid()
+
+    def pair(k):
+        return array("d", [k / 2]), array("q", [k])
+
+    # Worker 0's arrays are fn's own; a child's arrive as their bytes.
+    results = list(forked_map(pair, range(4), 2))
+    assert results[::2] == [pair(0), pair(2)]
+    assert results[1::2] == [(pair(k)[0].tobytes(), pair(k)[1].tobytes()) for k in (1, 3)]
+
+    text = "naïve \udcff"  # non-ASCII, and a lone surrogate
+
+    def unmarshallable(k):
+        return b"" if os.getpid() == parent else object()
+
+    def failing(k):
+        if os.getpid() != parent:
+            raise RuntimeError(text)
+        return b""
+
+    for fn, cause in (
+        (unmarshallable, "ValueError: unmarshallable object"), (failing, f"RuntimeError: {text}")
+    ):
+        results = forked_map(fn, range(2), 2)
+        assert next(results) == b""
+        with pytest.raises(ChildProcessError) as raised:
+            next(results)
+        assert str(raised.value) == f"worker 1 failed on item 1: {cause}"
     _no_child_left()
 
 
